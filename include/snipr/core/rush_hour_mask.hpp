@@ -48,6 +48,9 @@ class RushHourMask {
   /// inside one. Returns nullopt for an all-zero mask.
   [[nodiscard]] std::optional<sim::TimePoint> next_rush_start(
       sim::TimePoint t) const noexcept;
+  /// End (exclusive) of the run of rush slots containing `t`, capped at
+  /// the end of t's epoch; `t` itself when `t` is not in a rush slot.
+  [[nodiscard]] sim::TimePoint rush_end(sim::TimePoint t) const noexcept;
 
   /// Number of slots marked "1".
   [[nodiscard]] std::size_t rush_slot_count() const noexcept;

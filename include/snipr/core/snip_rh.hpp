@@ -56,6 +56,13 @@ class SnipRh final : public node::Scheduler {
 
   [[nodiscard]] node::SchedulerDecision on_wakeup(
       const node::SensorContext& ctx) override;
+  /// Inside one run of rush slots, with the buffer over threshold and
+  /// budget left, every wakeup probes at the same cadence Ton/d; the run
+  /// ends at the earliest of the rush run's end, the mask epoch's end and
+  /// budget exhaustion.
+  [[nodiscard]] sim::TimePoint probe_run_end(
+      const node::SensorContext& ctx,
+      sim::Duration probe_cost) const override;
   void on_contact_probed(const node::ProbedContactObservation& obs) override;
   [[nodiscard]] std::string name() const override { return "SNIP-RH"; }
 
@@ -67,6 +74,9 @@ class SnipRh final : public node::Scheduler {
   [[nodiscard]] double upload_threshold_bytes() const noexcept;
   [[nodiscard]] const RushHourMask& mask() const noexcept { return mask_; }
   /// Replace the mask (used by adaptive variants tracking seasonal shift).
+  /// Call it from a scheduler hook or between simulator runs: a node may
+  /// already have charged a run of wakeups under the old mask
+  /// (probe_run_end), which another event's change could not undo.
   void set_mask(RushHourMask mask) noexcept { mask_ = std::move(mask); }
 
   /// Crash/recovery seam. The checkpoint carries the mask bits and both
@@ -82,6 +92,10 @@ class SnipRh final : public node::Scheduler {
   }
 
  private:
+  /// on_wakeup's verdict; SNIP-RH's decision has no side effects.
+  [[nodiscard]] node::SchedulerDecision decide(
+      const node::SensorContext& ctx) const;
+
   RushHourMask mask_;
   SnipRhConfig config_;
   stats::Ewma tcontact_s_;

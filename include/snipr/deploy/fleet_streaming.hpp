@@ -57,7 +57,10 @@ struct FleetSummary {
   double zeta_p99_s{0.0};
   /// Probed sessions summed over the whole fleet and run (exact).
   std::uint64_t contacts_probed{0};
-  /// Discrete events executed across every shard simulator.
+  /// Discrete events executed across every shard simulator — events,
+  /// not wakeups: a SNIP-RH node's empty wakeups are charged in closed
+  /// form (the probe-lattice fast-forward), so this falls well below the
+  /// wakeup count on such fleets.
   std::uint64_t events_executed{0};
 };
 
@@ -77,7 +80,10 @@ struct StreamingOptions {
 /// `options.max_shards` stopped the run early (state saved to the
 /// checkpoint). Store-and-forward routing is rejected: replaying
 /// per-contact sessions is exactly the per-node state streaming exists
-/// to avoid.
+/// to avoid. So is an enabled fault plan (`spec.faults`): the per-node
+/// injectors live in FleetEngine::run, and a fleet streamed without them
+/// would silently report fault-free numbers. Both throw
+/// std::invalid_argument naming the reason.
 [[nodiscard]] std::optional<FleetSummary> run_streaming_fleet(
     const core::RoadsideScenario& scenario, const FleetSpec& spec,
     const FleetConfig& config, const StreamingOptions& options = {});

@@ -99,11 +99,18 @@ class NodeBlock {
   [[nodiscard]] std::int64_t& last_wakeup_us(std::size_t lane) noexcept {
     return last_wakeup_us_[lane];
   }
+  [[nodiscard]] std::int64_t last_wakeup_us(std::size_t lane) const noexcept {
+    return last_wakeup_us_[lane];
+  }
   /// Arrival timestamp of the last probed contact (kNoArrival = none) —
   /// the new-session test that keeps re-probes of one contact from
   /// double-counting ζ.
   [[nodiscard]] std::int64_t& last_probed_arrival_us(
       std::size_t lane) noexcept {
+    return last_probed_arrival_us_[lane];
+  }
+  [[nodiscard]] std::int64_t last_probed_arrival_us(
+      std::size_t lane) const noexcept {
     return last_probed_arrival_us_[lane];
   }
 

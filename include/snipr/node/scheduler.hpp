@@ -61,6 +61,20 @@ class Scheduler {
   [[nodiscard]] virtual SchedulerDecision on_wakeup(
       const SensorContext& ctx) = 0;
 
+  /// Probe-lattice fast-forward contract, asked right after on_wakeup(ctx)
+  /// returned {probe = true, next_wakeup = c}. Returns the exclusive end
+  /// T of the run of identical decisions from there: if the node wakes at
+  /// ctx.now + j·c (j = 0, 1, …), finds nothing at each wakeup and
+  /// charges `probe_cost` to the budget for each, with no other hook
+  /// called in between and the buffer never shrinking, then every such
+  /// wakeup before T would get {probe = true, next_wakeup = c} from
+  /// on_wakeup — and on_wakeup would change no state — so the node may
+  /// charge those wakeups without making the calls. The default, ctx.now,
+  /// means "no run": schedulers and decorators that do not override it
+  /// keep the per-event path.
+  [[nodiscard]] virtual sim::TimePoint probe_run_end(
+      const SensorContext& ctx, sim::Duration probe_cost) const;
+
   /// Called synchronously the instant a new contact is detected (both
   /// sides aware), before any transfer runs. This is the censored-
   /// feedback hook: slot-occupancy learners must count detections here,

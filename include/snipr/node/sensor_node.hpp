@@ -34,6 +34,13 @@
 /// in the node object: a FleetEngine shard hands every node a lane of
 /// its own block, so the shard's hot state stays contiguous. Standalone
 /// nodes own a private 1-lane block.
+///
+/// Empty SNIP wakeups need not be events: when the scheduler vouches for
+/// a run of identical probing decisions (Scheduler::probe_run_end) and no
+/// fault plan is attached, the node charges every wakeup the channel says
+/// finds nothing in one step — the probe-lattice fast-forward, exact to
+/// the bit (DESIGN.md, "Hot path & memory layout"). Simulator::step()
+/// counts events, so it covers more simulated time per step then.
 
 namespace snipr::fault {
 class NodeFaultInjector;
@@ -137,6 +144,14 @@ class SensorNode {
     return probed_;
   }
   [[nodiscard]] const FluidBuffer& buffer() const noexcept { return buffer_; }
+  /// Radio time of the probing wakeups (beacon, reply, listen) and of the
+  /// transfer sessions, per radio state.
+  [[nodiscard]] const energy::EnergyMeter& probing_meter() const noexcept {
+    return probing_meter_;
+  }
+  [[nodiscard]] const energy::EnergyMeter& transfer_meter() const noexcept {
+    return transfer_meter_;
+  }
   /// Probing radio-on time in the current epoch (the budget meter).
   [[nodiscard]] sim::Duration budget_used() const noexcept {
     return sim::Duration::microseconds(block_->budget_used_us(lane_));
@@ -165,6 +180,13 @@ class SensorNode {
              std::size_t lane);
 
   void cpu_wakeup();
+  /// Probe-lattice fast-forward: when the scheduler vouches for a run of
+  /// identical probing wakeups at `cadence` (Scheduler::probe_run_end),
+  /// charge every one of them that the channel says finds nothing in one
+  /// step and schedule the next CPU wakeup at the first that needs the
+  /// per-event path. Returns false (nothing charged) when no wakeup can
+  /// be skipped.
+  bool skip_empty_probes(const SensorContext& ctx, sim::Duration cadence);
   void schedule_next(sim::Duration delay);
   void probing_wakeup();
   void snip_wakeup();
@@ -198,6 +220,8 @@ class SensorNode {
   energy::EnergyMeter transfer_meter_;
 
   std::int64_t epoch_index_{0};
+  /// When the pending epoch_boundary event fires.
+  sim::TimePoint next_epoch_{};
   std::vector<EpochStats> history_;
   std::vector<ProbedContactRecord> probed_;
   double probing_j_mark_{0.0};

@@ -57,6 +57,18 @@ class Channel {
   /// made while in range), so call exactly once per frame.
   [[nodiscard]] bool try_deliver(sim::TimePoint start, sim::Duration airtime);
 
+  /// Probe-lattice query: the first point t = t0 + k·step (k >= 0) before
+  /// `end` at which a beacon of link().beacon_airtime would reach the
+  /// frame-loss draw of try_deliver — a contact covers t and the beacon
+  /// ends no later than its departure — or, when no point before `end`
+  /// qualifies, the first lattice point at or after `end`. Every point
+  /// skipped finds nothing and would draw no RNG. Walks the cursor in
+  /// amortised O(1) per contact passed and consumes no RNG itself.
+  /// Requires step > 0 and beacon_airtime > 0.
+  [[nodiscard]] sim::TimePoint first_probe_candidate(sim::TimePoint t0,
+                                                     sim::Duration step,
+                                                     sim::TimePoint end) const;
+
  private:
   /// Advance (or binary-search back) the cursor to the first contact
   /// with departure() > t, the only candidate able to cover t or any

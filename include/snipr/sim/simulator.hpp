@@ -45,6 +45,12 @@ class Simulator {
   /// Execute at most `max_events` events. Returns events executed.
   std::size_t step(std::size_t max_events = 1);
 
+  /// Latest timestamp the run in progress may execute: run_until's
+  /// target, TimePoint::max() under run() and step(). Components that
+  /// account for many instants in one event (the probe-lattice
+  /// fast-forward) stop there, as event-by-event execution would.
+  [[nodiscard]] TimePoint horizon() const noexcept { return horizon_; }
+
   /// Live events still pending.
   [[nodiscard]] std::size_t pending() const noexcept { return queue_.size(); }
 
@@ -53,6 +59,7 @@ class Simulator {
 
   EventQueue queue_;
   TimePoint now_{TimePoint::zero()};
+  TimePoint horizon_{TimePoint::max()};
   Rng rng_;
 };
 

@@ -60,6 +60,17 @@ bool RushHourMask::is_rush(sim::TimePoint t) const noexcept {
   return slots_[slot];
 }
 
+sim::TimePoint RushHourMask::rush_end(sim::TimePoint t) const noexcept {
+  if (!is_rush(t)) return t;
+  const std::int64_t slot_us = slot_length().count();
+  const std::int64_t into_epoch =
+      ((t.count() % epoch_.count()) + epoch_.count()) % epoch_.count();
+  auto slot = static_cast<std::size_t>(into_epoch / slot_us) + 1;
+  while (slot < slots_.size() && slots_[slot]) ++slot;
+  return t + sim::Duration::microseconds(
+                 static_cast<std::int64_t>(slot) * slot_us - into_epoch);
+}
+
 std::optional<sim::TimePoint> RushHourMask::next_rush_start(
     sim::TimePoint t) const noexcept {
   if (is_rush(t)) return t;

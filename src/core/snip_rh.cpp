@@ -61,6 +61,10 @@ double SnipRh::upload_threshold_bytes() const noexcept {
 }
 
 node::SchedulerDecision SnipRh::on_wakeup(const node::SensorContext& ctx) {
+  return decide(ctx);
+}
+
+node::SchedulerDecision SnipRh::decide(const node::SensorContext& ctx) const {
   // Condition 3: the epoch's probing budget must afford one more wakeup.
   if (ctx.budget_used + config_.ton > ctx.budget_limit) {
     // Budget resets at the next epoch boundary.
@@ -105,6 +109,29 @@ node::SchedulerDecision SnipRh::on_wakeup(const node::SensorContext& ctx) {
           .next_wakeup = std::max(
               sim::Duration::seconds(config_.ton.to_seconds() / d),
               config_.ton)};
+}
+
+sim::TimePoint SnipRh::probe_run_end(const node::SensorContext& ctx,
+                                     sim::Duration probe_cost) const {
+  const node::SchedulerDecision first = decide(ctx);
+  if (!first.probe || !(probe_cost > sim::Duration::zero())) return ctx.now;
+  // Between detections decide() depends on the run only through the
+  // clock and the budget: the EWMAs (hence the cadence) change only in
+  // on_contact_probed, and a buffer that met condition 2 keeps meeting it
+  // while nothing uploads. Condition 1 holds to the end of the current
+  // run of rush slots, capped at the end of the mask's epoch.
+  const sim::TimePoint rush_end = mask_.rush_end(ctx.now);
+
+  // Condition 3 holds for wakeups j = 0 … affordable-1, each charging
+  // probe_cost before the next check: budget_used + j·cost + ton <= limit.
+  const std::int64_t affordable =
+      (ctx.budget_limit - ctx.budget_used - config_.ton).count() /
+          probe_cost.count() +
+      1;
+  const sim::Duration cadence = first.next_wakeup;
+  const std::int64_t in_rush =
+      ((rush_end - ctx.now).count() + cadence.count() - 1) / cadence.count();
+  return affordable < in_rush ? ctx.now + cadence * affordable : rush_end;
 }
 
 void SnipRh::on_contact_probed(const node::ProbedContactObservation& obs) {

@@ -96,6 +96,11 @@ StreamingInputs build_inputs(const core::RoadsideScenario& scenario,
         "run_streaming_fleet: store-and-forward routing needs the per-node "
         "session export of FleetEngine::run");
   }
+  if (spec.faults != nullptr && spec.faults->enabled()) {
+    throw std::invalid_argument(
+        "run_streaming_fleet: fault plans need the per-node injectors of "
+        "FleetEngine::run; the streaming path would run fault-free");
+  }
 
   StreamingInputs in;
   in.scenario = &scenario;

@@ -2,6 +2,11 @@
 
 namespace snipr::node {
 
+sim::TimePoint Scheduler::probe_run_end(const SensorContext& ctx,
+                                       sim::Duration /*probe_cost*/) const {
+  return ctx.now;
+}
+
 void Scheduler::on_probe_detected(sim::TimePoint /*when*/) {}
 
 void Scheduler::on_contact_probed(const ProbedContactObservation& /*obs*/) {}

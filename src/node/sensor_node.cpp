@@ -68,6 +68,7 @@ void SensorNode::start() {
     probed_.reserve(std::min(channel_.schedule().size(), kProbedReserveCap));
   }
   sim_.schedule_at(sim_.now(), [this] { cpu_wakeup(); });
+  next_epoch_ = sim_.now() + config_.epoch;
   sim_.schedule_after(config_.epoch, [this] { epoch_boundary(); });
 }
 
@@ -99,16 +100,63 @@ void SensorNode::schedule_next(sim::Duration delay) {
 }
 
 void SensorNode::cpu_wakeup() {
-  const SchedulerDecision decision = scheduler_.on_wakeup(make_context());
+  const SensorContext ctx = make_context();
+  const SchedulerDecision decision = scheduler_.on_wakeup(ctx);
   if (!(decision.next_wakeup > sim::Duration::zero())) {
     throw std::logic_error("Scheduler returned a non-positive next_wakeup");
   }
   block_->last_wakeup_us(lane_) = decision.next_wakeup.count();
-  if (decision.probe) {
-    probing_wakeup();  // schedules the next CPU wakeup itself
-  } else {
+  if (!decision.probe) {
     schedule_next(decision.next_wakeup);
+  } else if (!skip_empty_probes(ctx, decision.next_wakeup)) {
+    probing_wakeup();  // schedules the next CPU wakeup itself
   }
+}
+
+bool SensorNode::skip_empty_probes(const SensorContext& ctx,
+                                   sim::Duration cadence) {
+  // SNIP only (MIP listens for mobile beacons, a different geometry),
+  // and never with a fault plan: faults draw once per probe. A cadence
+  // below Ton is stretched to Ton per probe, off the scheduler's lattice.
+  const radio::LinkParams& link = channel_.link();
+  if (config_.protocol != ProbingProtocol::kSnip || faults_ != nullptr ||
+      !(link.beacon_airtime > sim::Duration::zero()) ||
+      cadence < config_.ton) {
+    return false;
+  }
+  // The epoch boundary event resets the budget and snapshots the stats,
+  // and nothing past the simulator's horizon may run: a lattice point at
+  // either stays a real event (the boundary, scheduled earlier, runs
+  // first at a tie — as it does per event).
+  sim::TimePoint end =
+      std::min(scheduler_.probe_run_end(ctx, config_.ton), next_epoch_);
+  if (sim_.horizon() < end) {
+    end = sim_.horizon() + sim::Duration::microseconds(1);
+  }
+  if (end <= ctx.now) return false;
+
+  sim::TimePoint next;
+  if (link.beacon_airtime + link.reply_airtime > config_.ton) {
+    // The reply can never fit the listen window: every probe is empty.
+    const std::int64_t points =
+        ((end - ctx.now).count() + cadence.count() - 1) / cadence.count();
+    next = ctx.now + cadence * points;
+  } else {
+    next = channel_.first_probe_candidate(ctx.now, cadence, end);
+  }
+  const std::int64_t skipped = (next - ctx.now).count() / cadence.count();
+  if (skipped == 0) return false;
+
+  // Exactly what `skipped` empty snip_wakeup calls charge: integer
+  // durations, so the sums equal the per-event ones bit for bit.
+  block_->wakeups(lane_) += static_cast<std::uint64_t>(skipped);
+  block_->budget_used_us(lane_) += config_.ton.count() * skipped;
+  block_->phi_us(lane_) += config_.ton.count() * skipped;
+  probing_meter_.accumulate(RadioState::kTx, link.beacon_airtime * skipped);
+  probing_meter_.accumulate(RadioState::kListen,
+                            (config_.ton - link.beacon_airtime) * skipped);
+  sim_.schedule_at(next, [this] { cpu_wakeup(); });
+  return true;
 }
 
 void SensorNode::probing_wakeup() {
@@ -361,6 +409,7 @@ void SensorNode::epoch_boundary() {
   } else {
     scheduler_.on_epoch_start(epoch_index_);
   }
+  next_epoch_ = sim_.now() + config_.epoch;
   sim_.schedule_after(config_.epoch, [this] { epoch_boundary(); });
 }
 

@@ -56,6 +56,33 @@ std::optional<contact::Contact> Channel::next_arrival_at_or_after(
   return contacts[i];
 }
 
+sim::TimePoint Channel::first_probe_candidate(sim::TimePoint t0,
+                                             sim::Duration step,
+                                             sim::TimePoint end) const {
+  const std::vector<contact::Contact>& contacts = schedule_->contacts();
+  // First lattice point at or after `t`.
+  const auto lattice_ceil = [t0, step](sim::TimePoint t) {
+    if (t <= t0) return t0;
+    return t0 + step * (((t - t0).count() + step.count() - 1) / step.count());
+  };
+  sim::TimePoint t = t0;
+  while (t < end) {
+    const std::size_t i = position_cursor(t);
+    if (i >= contacts.size()) break;
+    const contact::Contact& c = contacts[i];  // departs after t
+    if (t < c.arrival) {
+      t = lattice_ceil(c.arrival);
+    } else if (t + link_.beacon_airtime <= c.departure()) {
+      return t;
+    } else {
+      // This and every later point inside the contact sends a beacon
+      // that would cross the departure: resume past it.
+      t = lattice_ceil(c.departure());
+    }
+  }
+  return lattice_ceil(end);
+}
+
 bool Channel::try_deliver(sim::TimePoint start, sim::Duration airtime) {
   if (!(airtime > sim::Duration::zero())) {
     // A zero-length frame carries no bytes over the air (a transfer with

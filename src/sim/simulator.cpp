@@ -26,6 +26,7 @@ bool Simulator::cancel(EventId id) { return queue_.cancel(id); }
 
 std::size_t Simulator::drain(TimePoint limit, std::size_t max_events) {
   std::size_t executed = 0;
+  horizon_ = limit;
   while (executed < max_events) {
     auto popped = queue_.pop_due(limit);
     if (!popped.has_value()) break;

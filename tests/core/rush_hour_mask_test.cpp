@@ -83,6 +83,21 @@ TEST(RushHourMask, SetTogglesSlots) {
   EXPECT_THROW(m.set(24, true), std::out_of_range);
 }
 
+TEST(RushHourMask, RushEndClosesTheRunOfRushSlots) {
+  const RushHourMask m = RushHourMask::from_hours({7, 8, 17, 23, 0});
+  // Adjacent rush slots form one run.
+  EXPECT_EQ(m.rush_end(at_h(7.25)), at_h(9));
+  EXPECT_EQ(m.rush_end(at_h(8)), at_h(9));
+  EXPECT_EQ(m.rush_end(at_h(17)), at_h(18));
+  EXPECT_EQ(m.rush_end(at_h(24 + 7.5)), at_h(24 + 9));
+  // Outside a rush slot there is no run.
+  EXPECT_EQ(m.rush_end(at_h(12)), at_h(12));
+  // A run that wraps into the next epoch is capped at the epoch end.
+  EXPECT_EQ(m.rush_end(at_h(23.5)), at_h(24));
+  const RushHourMask all{Duration::hours(24), std::vector<bool>(4, true)};
+  EXPECT_EQ(all.rush_end(at_h(30)), at_h(48));
+}
+
 TEST(RushHourMask, BitsExposeUnderlyingVector) {
   const RushHourMask m = RushHourMask::from_hours({2});
   EXPECT_EQ(m.bits().size(), 24U);

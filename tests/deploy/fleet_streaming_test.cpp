@@ -260,5 +260,30 @@ TEST(FleetStreaming, RejectsRoutingAndEmptyFleets) {
       std::invalid_argument);
 }
 
+TEST(FleetStreaming, RejectsFaultPlansWithANamedReason) {
+  // Streaming has no per-node fault injectors: running a faulted spec
+  // would report the fault-free fleet's numbers as the faulted one's.
+  const core::CatalogEntry& entry =
+      core::ScenarioCatalog::instance().at("chaos-lossy-radio");
+  ASSERT_TRUE(entry.is_fleet());
+  FleetSpec spec = *entry.fleet;
+  ASSERT_NE(spec.faults, nullptr);
+  ASSERT_TRUE(spec.faults->enabled());
+  spec.nodes = 8;
+  FleetConfig config;
+  config.deployment = make_fleet_deployment_config(
+      entry.scenario, spec, entry.phi_max_s, /*epochs=*/1, /*seed=*/7);
+  try {
+    (void)run_streaming_fleet(entry.scenario, spec, config);
+    FAIL() << "a faulted spec must not stream";
+  } catch (const std::invalid_argument& err) {
+    EXPECT_NE(std::string{err.what()}.find("fault"), std::string::npos)
+        << err.what();
+  }
+  // An all-zero fault spec is "no faults" and still streams.
+  spec.faults = std::make_shared<const fault::FaultSpec>();
+  EXPECT_TRUE(run_streaming_fleet(entry.scenario, spec, config).has_value());
+}
+
 }  // namespace
 }  // namespace snipr::deploy

@@ -312,5 +312,103 @@ TEST(SensorNode, ConsecutiveContactsAllProbedAtHighDuty) {
   EXPECT_EQ(w.sink.contacts_served(), 20U);
 }
 
+// --- Probe-lattice fast-forward -----------------------------------------
+
+/// AlwaysProbe that also vouches for the whole lattice (no run end of
+/// its own), so the node may charge empty probes in closed form.
+class LatticeProbe final : public Scheduler {
+ public:
+  explicit LatticeProbe(Duration cycle) : cycle_{cycle} {}
+  SchedulerDecision on_wakeup(const SensorContext&) override {
+    return {.probe = true, .next_wakeup = cycle_};
+  }
+  TimePoint probe_run_end(const SensorContext&, Duration) const override {
+    return TimePoint::max();
+  }
+  std::string name() const override { return "lattice"; }
+
+ private:
+  Duration cycle_;
+};
+
+TEST(SensorNode, LatticeRunChargesEmptyProbesInOneEvent) {
+  World fast_world{{}};
+  LatticeProbe lattice{Duration::seconds(2)};
+  SensorNode fast{fast_world.simulator, fast_world.channel, fast_world.sink,
+                  lattice, small_config()};
+  fast.start();
+  // Wakeups at 0, 2, …, 1000 all find nothing: one event charges them.
+  EXPECT_EQ(fast_world.simulator.run_until(at_s(1000.5)), 1U);
+
+  World slow_world{{}};
+  AlwaysProbe always{Duration::seconds(2)};
+  SensorNode slow{slow_world.simulator, slow_world.channel, slow_world.sink,
+                  always, small_config()};
+  slow.start();
+  EXPECT_EQ(slow_world.simulator.run_until(at_s(1000.5)), 501U);
+
+  EXPECT_EQ(fast.current_epoch().wakeups, 501U);
+  EXPECT_EQ(fast.current_epoch().phi, slow.current_epoch().phi);
+  EXPECT_EQ(fast.budget_used(), slow.budget_used());
+  for (const auto state : {energy::RadioState::kTx, energy::RadioState::kRx,
+                           energy::RadioState::kListen}) {
+    EXPECT_EQ(fast.probing_meter().time_in(state),
+              slow.probing_meter().time_in(state));
+  }
+  EXPECT_EQ(fast.probing_meter().time_in(energy::RadioState::kTx),
+            Duration::milliseconds(501));
+}
+
+TEST(SensorNode, LatticeRunBelowTonKeepsThePerEventCadence) {
+  // A cycle shorter than Ton is stretched to Ton per probe, which is off
+  // the scheduler's lattice: the node must not fast-forward it.
+  World fast_world{{}};
+  LatticeProbe lattice{Duration::milliseconds(10)};
+  SensorNode fast{fast_world.simulator, fast_world.channel, fast_world.sink,
+                  lattice, small_config()};
+  fast.start();
+  fast_world.simulator.run_until(at_s(10));
+  EXPECT_EQ(fast.current_epoch().wakeups, 501U);  // every 20 ms
+}
+
+TEST(SensorNode, LatticeRunStopsAtTheEpochBoundary) {
+  World w{{}};
+  LatticeProbe lattice{Duration::seconds(2)};
+  SensorNode node{w.simulator, w.channel, w.sink, lattice, small_config()};
+  node.start();
+  // The wakeup at exactly 3600 s stays an event, after the boundary that
+  // was scheduled before it: 0 … 3598 s count in epoch 0, 3600 s in 1.
+  EXPECT_EQ(w.simulator.run_until(at_s(3601)), 3U);
+  ASSERT_EQ(node.epoch_history().size(), 1U);
+  EXPECT_EQ(node.epoch_history()[0].wakeups, 1800U);
+  EXPECT_EQ(node.current_epoch().wakeups, 1U);
+}
+
+TEST(SensorNode, LatticeRunWithAReplyLongerThanTonIsAllEmpty) {
+  // The reply cannot fit the listen window, so even wakeups inside the
+  // contact find nothing — and are charged without events.
+  radio::LinkParams link;
+  link.reply_airtime = Duration::milliseconds(25);
+  World w{{{at_s(100), Duration::seconds(800)}}, link};
+  LatticeProbe lattice{Duration::seconds(2)};
+  SensorNode node{w.simulator, w.channel, w.sink, lattice, small_config()};
+  node.start();
+  EXPECT_EQ(w.simulator.run_until(at_s(1000.5)), 1U);
+  EXPECT_EQ(node.current_epoch().wakeups, 501U);
+  EXPECT_EQ(node.current_epoch().contacts_probed, 0U);
+}
+
+TEST(SensorNode, LatticeRunHandsTheHitToThePerEventPath) {
+  World w{{{at_s(101), Duration::seconds(2)}}};
+  LatticeProbe lattice{Duration::seconds(2)};
+  SensorNode node{w.simulator, w.channel, w.sink, lattice, small_config()};
+  node.start();
+  w.simulator.run_until(at_s(200));
+  ASSERT_EQ(node.probed_contacts().size(), 1U);
+  // The first lattice point inside the contact, as per event.
+  EXPECT_EQ(node.probed_contacts().front().probe_time,
+            at_s(102) + Duration::milliseconds(2));
+}
+
 }  // namespace
 }  // namespace snipr::node

@@ -148,5 +148,157 @@ TEST(Channel, DefaultLinkParameters) {
   EXPECT_DOUBLE_EQ(ch.link().frame_loss, 0.0);
 }
 
+// --- Probe-lattice query --------------------------------------------------
+
+/// Brute force: scan every lattice point before `end` with the schedule's
+/// own binary-search lookup; past the last, the first point >= end.
+TimePoint brute_first_candidate(const ContactSchedule& schedule,
+                                Duration beacon, TimePoint t0, Duration step,
+                                TimePoint end) {
+  TimePoint t = t0;
+  for (; t < end; t += step) {
+    const auto active = schedule.active_at(t);
+    if (active.has_value() && t + beacon <= active->departure()) return t;
+  }
+  return t;
+}
+
+/// The query and the brute-force scan agree for the given arguments.
+void expect_matches_brute(const Channel& ch, TimePoint t0, Duration step,
+                          TimePoint end) {
+  EXPECT_EQ(ch.first_probe_candidate(t0, step, end),
+            brute_first_candidate(ch.schedule(), ch.link().beacon_airtime, t0,
+                                  step, end))
+      << "t0 " << t0 << " step " << step << " end " << end;
+}
+
+TEST(Channel, ProbeCandidateHitAtTheFirstPoint) {
+  Channel ch{one_contact(), LinkParams{}, sim::Rng{1}};
+  EXPECT_EQ(ch.first_probe_candidate(at_s(100.5), Duration::seconds(2),
+                                     at_s(500)),
+            at_s(100.5));
+  expect_matches_brute(ch, at_s(100.5), Duration::seconds(2), at_s(500));
+}
+
+TEST(Channel, ProbeCandidateNoneBeforeEnd) {
+  Channel ch{one_contact(), LinkParams{}, sim::Rng{1}};
+  // Lattice 0, 3, 6, …: 99 then 102 — one before arrival, one exactly at
+  // departure (the beacon cannot start there). The first point at or
+  // after end = 200 is 201.
+  EXPECT_EQ(ch.first_probe_candidate(at_s(0), Duration::seconds(3),
+                                     at_s(200)),
+            at_s(201));
+  expect_matches_brute(ch, at_s(0), Duration::seconds(3), at_s(200));
+  // End before the contact: nothing to find either.
+  EXPECT_EQ(ch.first_probe_candidate(at_s(0), Duration::seconds(2),
+                                     at_s(99)),
+            at_s(100));
+  // An empty range answers its own start.
+  EXPECT_EQ(ch.first_probe_candidate(at_s(50), Duration::seconds(2),
+                                     at_s(50)),
+            at_s(50));
+  EXPECT_EQ(ch.first_probe_candidate(at_s(50), Duration::seconds(2),
+                                     at_s(10)),
+            at_s(50));
+}
+
+TEST(Channel, ProbeCandidateBeaconEndingExactlyAtDeparture) {
+  // Contact [100, 102): a beacon of 1 ms starting at 101.999 ends exactly
+  // at departure — the last instant that reaches the loss draw.
+  Channel ch{one_contact(), LinkParams{}, sim::Rng{1}};
+  const TimePoint last = at_s(102) - Duration::milliseconds(1);
+  const Duration step = Duration::seconds(5);
+  EXPECT_EQ(ch.first_probe_candidate(last - step * 3, step, at_s(300)), last);
+  expect_matches_brute(ch, last - step * 3, step, at_s(300));
+  // One microsecond later the beacon crosses departure: a miss, and no
+  // later point lands in a contact, so the answer is the first point at
+  // or after end.
+  const TimePoint late = last + Duration::microseconds(1);
+  EXPECT_EQ(ch.first_probe_candidate(late - step * 3, step, at_s(300)),
+            late + step * 40);
+  expect_matches_brute(ch, late - step * 3, step, at_s(300));
+}
+
+TEST(Channel, ProbeCandidateResumesRightAfterACrossingBeacon) {
+  // The only point inside contact 0 (at 12 s) sends a beacon that would
+  // cross its departure; the very next point (14 s) lies in the contact
+  // touching it and must be found.
+  ContactSchedule schedule{
+      {{at_s(11.9995), Duration::milliseconds(1)},
+       {at_s(12.0005), Duration::seconds(3) - Duration::microseconds(500)}}};
+  Channel ch{schedule, LinkParams{}, sim::Rng{1}};
+  EXPECT_EQ(ch.first_probe_candidate(at_s(0), Duration::seconds(2),
+                                     at_s(100)),
+            at_s(14));
+  expect_matches_brute(ch, at_s(0), Duration::seconds(2), at_s(100));
+}
+
+TEST(Channel, ProbeCandidateAfterABackwardCursor) {
+  // The post-probe active_contact re-read moves the cursor backward; the
+  // query from a later point must still see every contact ahead.
+  ContactSchedule schedule{{{at_s(10), Duration::seconds(2)},
+                            {at_s(20), Duration::seconds(2)},
+                            {at_s(30), Duration::seconds(2)}}};
+  Channel ch{schedule, LinkParams{}, sim::Rng{1}};
+  (void)ch.active_contact(at_s(31));
+  (void)ch.active_contact(at_s(10.5));  // backward: cursor on contact 0
+  EXPECT_EQ(ch.first_probe_candidate(at_s(13), Duration::seconds(4),
+                                     at_s(100)),
+            at_s(21));
+  // And a query starting behind the cursor repositions it.
+  (void)ch.active_contact(at_s(31));
+  EXPECT_EQ(ch.first_probe_candidate(at_s(8.5), Duration::seconds(2),
+                                     at_s(100)),
+            at_s(10.5));
+}
+
+TEST(Channel, ProbeCandidateCadenceLongerThanAGap) {
+  // Cadence 7 s over 1-s contacts 3 s apart: the lattice steps over whole
+  // contacts and gaps; only brute force says where it first lands.
+  std::vector<Contact> contacts;
+  for (int i = 0; i < 40; ++i) {
+    contacts.push_back({at_s(4.0 * i + 0.25), Duration::seconds(1)});
+  }
+  const ContactSchedule schedule{contacts};
+  Channel ch{schedule, LinkParams{}, sim::Rng{1}};
+  for (int offset_ms = 0; offset_ms < 7000; offset_ms += 250) {
+    expect_matches_brute(ch, at_s(offset_ms / 1000.0), Duration::seconds(7),
+                         at_s(170));
+  }
+}
+
+TEST(Channel, ProbeCandidateMatchesBruteForceOnRandomSchedules) {
+  sim::Rng rng{31};
+  for (int round = 0; round < 200; ++round) {
+    std::vector<Contact> contacts;
+    TimePoint t = TimePoint::zero();
+    for (int i = 0; i < 30; ++i) {
+      if (!rng.bernoulli(0.2)) {  // else touching
+        t += Duration::microseconds(
+            static_cast<std::int64_t>(rng.uniform_int(4'000'000)));
+      }
+      const Duration length =
+          rng.bernoulli(0.15)
+              ? Duration::zero()
+              : Duration::microseconds(
+                    1 + static_cast<std::int64_t>(rng.uniform_int(2'000'000)));
+      contacts.push_back({t, length});
+      t += length;
+    }
+    const ContactSchedule schedule{contacts};
+    Channel ch{schedule, LinkParams{}, sim::Rng{1}};
+    TimePoint t0 = TimePoint::zero();
+    for (int q = 0; q < 20; ++q) {
+      const Duration step = Duration::microseconds(
+          1 + static_cast<std::int64_t>(rng.uniform_int(3'000'000)));
+      const TimePoint end =
+          t0 + Duration::microseconds(
+                   static_cast<std::int64_t>(rng.uniform_int(20'000'000)));
+      expect_matches_brute(ch, t0, step, end);
+      t0 = ch.first_probe_candidate(t0, step, end);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace snipr::radio

@@ -7,12 +7,17 @@
 /// churn through Simulator::run_until must perform exactly zero
 /// allocations — the guarantee the InlineCallback + generation-slot
 /// EventQueue exists to provide, and the one a stray std::function or
-/// node-based container on the hot path would break.
+/// node-based container on the hot path would break. The same holds for
+/// a SNIP-RH node's probe-lattice fast-forward, which charges its empty
+/// wakeups in closed form between per-event detections.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <vector>
 
+#include "snipr/core/snip_rh.hpp"
+#include "snipr/node/sensor_node.hpp"
 #include "snipr/sim/simulator.hpp"
 #include "support/counting_alloc_hook.hpp"
 
@@ -97,6 +102,41 @@ TEST(ZeroAllocTest, ScheduleCancelChurnAllocatesNothingAfterWarmup) {
   EXPECT_EQ(testing::alloc_calls.load(std::memory_order_relaxed),
             allocs_before);
   EXPECT_GT(fired, 1000U);
+}
+
+TEST(ZeroAllocTest, ProbeLatticeFastForwardAllocatesNothing) {
+  // A 2 s contact every 97 s under an always-rush mask: most wakeups are
+  // skipped in closed form, each detection and transfer runs per event.
+  std::vector<contact::Contact> contacts;
+  for (std::int64_t i = 0; i < 400; ++i) {
+    const auto at = TimePoint::zero() + Duration::seconds(97 * i + 5);
+    contacts.push_back({at, Duration::seconds(2)});
+  }
+  Simulator simulator{1};
+  radio::Channel channel{contact::ContactSchedule{std::move(contacts)},
+                         radio::LinkParams{}, Rng{3}};
+  node::MobileNode sink;
+  const std::vector<bool> all_rush(6, true);
+  core::SnipRh scheduler{core::RushHourMask{Duration::hours(1), all_rush}, {}};
+  node::SensorNodeConfig config;
+  config.epoch = Duration::hours(1);
+  config.sensing_rate_bps = 5000.0;
+  config.record_epoch_history = false;
+  config.record_probed_contacts = false;
+  node::SensorNode sensor{simulator, channel, sink, scheduler, config};
+  sensor.start();
+  simulator.run_until(TimePoint::zero() + Duration::hours(2));  // warm-up
+
+  const std::uint64_t allocs_before =
+      testing::alloc_calls.load(std::memory_order_relaxed);
+  const std::size_t events = simulator.run_until(
+      TimePoint::zero() + Duration::hours(3) - Duration::seconds(1));
+  EXPECT_EQ(testing::alloc_calls.load(std::memory_order_relaxed),
+            allocs_before)
+      << "the fast-forward and detection path must not allocate";
+  EXPECT_GT(sensor.current_epoch().contacts_probed, 20U);
+  EXPECT_GT(sensor.current_epoch().wakeups, 4 * events)
+      << "most wakeups should have been charged without events";
 }
 
 }  // namespace
