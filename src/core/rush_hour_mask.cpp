@@ -67,8 +67,8 @@ sim::TimePoint RushHourMask::rush_end(sim::TimePoint t) const noexcept {
       ((t.count() % epoch_.count()) + epoch_.count()) % epoch_.count();
   auto slot = static_cast<std::size_t>(into_epoch / slot_us) + 1;
   while (slot < slots_.size() && slots_[slot]) ++slot;
-  return t + sim::Duration::microseconds(
-                 static_cast<std::int64_t>(slot) * slot_us - into_epoch);
+  const auto run_end_us = static_cast<std::int64_t>(slot) * slot_us;
+  return t + sim::Duration::microseconds(run_end_us - into_epoch);
 }
 
 std::optional<sim::TimePoint> RushHourMask::next_rush_start(

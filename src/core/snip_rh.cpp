@@ -124,10 +124,9 @@ sim::TimePoint SnipRh::probe_run_end(const node::SensorContext& ctx,
 
   // Condition 3 holds for wakeups j = 0 … affordable-1, each charging
   // probe_cost before the next check: budget_used + j·cost + ton <= limit.
-  const std::int64_t affordable =
-      (ctx.budget_limit - ctx.budget_used - config_.ton).count() /
-          probe_cost.count() +
-      1;
+  const sim::Duration headroom =
+      ctx.budget_limit - ctx.budget_used - config_.ton;
+  const std::int64_t affordable = headroom.count() / probe_cost.count() + 1;
   const sim::Duration cadence = first.next_wakeup;
   const std::int64_t in_rush =
       ((rush_end - ctx.now).count() + cadence.count() - 1) / cadence.count();
