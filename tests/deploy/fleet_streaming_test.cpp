@@ -4,6 +4,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -54,14 +56,48 @@ FleetCase small_fleet(std::size_t nodes = 24, std::size_t shards = 0) {
   return s;
 }
 
-TEST(FleetStreaming, MatchesMaterialisingEngineBitForBit) {
-  // The streaming path folds exactly the values FleetEngine::run folds
-  // (per-node means in node order), so every aggregate it shares with
-  // DeploymentOutcome must match to the last bit — not approximately.
-  const FleetCase s = small_fleet();
+std::vector<std::string> fleet_entry_names() {
+  std::vector<std::string> names;
+  for (const auto& entry : core::ScenarioCatalog::instance().entries()) {
+    if (entry.is_fleet()) names.push_back(entry.name);
+  }
+  return names;
+}
+
+/// Every fleet catalog entry x shard count, at 2 epochs and seed 7.
+class FleetStreamingCrossPath
+    : public ::testing::TestWithParam<std::tuple<std::string, std::size_t>> {
+};
+
+TEST_P(FleetStreamingCrossPath, MatchesMaterialisingEngineBitForBit) {
+  // Either the streaming path folds exactly the values FleetEngine::run
+  // folds (per-node means in node order), so every aggregate it shares
+  // with DeploymentOutcome matches to the last bit, or it refuses the
+  // spec with a reason that names what it cannot run.
+  const auto& [name, shards] = GetParam();
+  const core::CatalogEntry& entry = core::ScenarioCatalog::instance().at(name);
+  const FleetSpec& spec = *entry.fleet;
+  FleetConfig config;
+  config.deployment = make_fleet_deployment_config(
+      entry.scenario, spec, entry.phi_max_s, /*epochs=*/2, /*seed=*/7);
+  config.shards = shards;
+
+  const bool faulted = spec.faults != nullptr && spec.faults->enabled();
+  if (spec.routing.has_value() || faulted) {
+    const char* reason = spec.routing.has_value() ? "routing" : "fault plan";
+    try {
+      (void)run_streaming_fleet(entry.scenario, spec, config);
+      FAIL() << name << " must not stream";
+    } catch (const std::invalid_argument& err) {
+      EXPECT_NE(std::string{err.what()}.find(reason), std::string::npos)
+          << err.what();
+    }
+    return;
+  }
+
   const DeploymentOutcome reference =
-      FleetEngine{}.run(s.scenario, s.spec, s.config);
-  const auto summary = run_streaming_fleet(s.scenario, s.spec, s.config);
+      FleetEngine{}.run(entry.scenario, spec, config);
+  const auto summary = run_streaming_fleet(entry.scenario, spec, config);
   ASSERT_TRUE(summary.has_value());
   EXPECT_EQ(summary->nodes, reference.nodes.size());
   EXPECT_EQ(summary->epochs, 2u);
@@ -74,13 +110,27 @@ TEST(FleetStreaming, MatchesMaterialisingEngineBitForBit) {
   EXPECT_EQ(summary->min_zeta_s, reference.min_zeta_s);
   EXPECT_EQ(summary->max_zeta_s, reference.max_zeta_s);
   EXPECT_EQ(summary->zeta_fairness, reference.zeta_fairness);
-  // The sketch is lossy by design; its medians must still bracket the
-  // exact mean-adjacent range (1% relative error on per-node means).
+  // The sketch is lossy by design; its quantiles must still sit inside
+  // the exact range (1% relative error on per-node means).
   EXPECT_GE(summary->zeta_p50_s, reference.min_zeta_s * 0.98);
   EXPECT_LE(summary->zeta_p99_s, reference.max_zeta_s * 1.02);
   EXPECT_GE(summary->zeta_p90_s, summary->zeta_p50_s);
   EXPECT_GE(summary->zeta_p99_s, summary->zeta_p90_s);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    FleetStreaming, FleetStreamingCrossPath,
+    ::testing::Combine(::testing::ValuesIn(fleet_entry_names()),
+                       ::testing::Values(std::size_t{1}, std::size_t{2},
+                                         std::size_t{8})),
+    [](const auto& info) {
+      std::string label = std::get<0>(info.param) + "_shards" +
+                          std::to_string(std::get<1>(info.param));
+      for (char& c : label) {
+        if (c == '-') c = '_';
+      }
+      return label;
+    });
 
 TEST(FleetStreaming, JsonIsShardAndBatchInvariant) {
   const FleetCase base = small_fleet();
