@@ -12,7 +12,7 @@
 #include <cstdio>
 
 #include "snipr/core/snip_rh.hpp"
-#include "snipr/deploy/deployment.hpp"
+#include "snipr/deploy/fleet_engine.hpp"
 #include "snipr/deploy/road_contacts.hpp"
 #include "snipr/energy/battery.hpp"
 
@@ -37,12 +37,16 @@ int main() {
   std::printf("%zu vehicles over 14 days; contacts at node 0: %zu\n\n",
               vehicles.size(), schedules[0].size());
 
-  deploy::DeploymentConfig cfg;
-  cfg.epochs = 14;
-  cfg.node.budget_limit = sim::Duration::seconds(86.4);
-  cfg.node.sensing_rate_bps = 16.0 * 12500.0 / 86400.0;  // ζtarget = 16 s
+  // The whole fleet in one simulator: one shard on one thread.
+  deploy::FleetConfig cfg;
+  cfg.deployment.epochs = 14;
+  cfg.deployment.node.budget_limit = sim::Duration::seconds(86.4);
+  cfg.deployment.node.sensing_rate_bps =
+      16.0 * 12500.0 / 86400.0;  // ζtarget = 16 s
+  cfg.shards = 1;
+  cfg.threads = 1;
 
-  const auto outcome = deploy::run_deployment(
+  const auto outcome = deploy::FleetEngine{}.run(
       std::move(schedules),
       [](std::size_t) {
         return std::make_unique<core::SnipRh>(

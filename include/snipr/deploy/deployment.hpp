@@ -12,14 +12,13 @@
 #include "snipr/radio/link.hpp"
 
 /// \file deployment.hpp
-/// Multi-node experiment outcomes and the single-simulator runner.
+/// Multi-node experiment outcomes and configuration.
 ///
 /// N sensor nodes, each with its own channel (over its own contact
 /// schedule), data buffer, budget and scheduler instance, all visited by
 /// the same vehicle flow. Reports per-node and aggregate outcomes —
 /// including the min/max fairness spread that a single-node study cannot
-/// see. `run_deployment` is the historical single-shard entry point; the
-/// sharded engine behind it lives in fleet_engine.hpp.
+/// see. The engine that runs them lives in fleet_engine.hpp.
 
 namespace snipr::deploy {
 
@@ -76,22 +75,10 @@ struct DeploymentConfig {
 using SchedulerFactory =
     std::function<std::unique_ptr<node::Scheduler>(std::size_t node_index)>;
 
-/// Snapshot one simulated node into its NodeOutcome row.
-[[nodiscard]] NodeOutcome summarize_node(std::size_t node_index,
-                                         const node::SensorNode& sensor,
-                                         std::string scheduler_name,
-                                         std::size_t total_contacts);
-
 /// Recompute every aggregate field of `outcome` from its per-node rows,
 /// in node order, with `stats::OnlineStats` (single Welford pass — never
 /// a raw Σζ² that cancels catastrophically at fleet scale). Safe on an
 /// empty outcome (leaves the zero/identity defaults).
 void finalize_outcome(DeploymentOutcome& outcome);
-
-/// Run a deployment: one sensor node per schedule, all in one simulator.
-/// Equivalent to FleetEngine with a single shard.
-[[nodiscard]] DeploymentOutcome run_deployment(
-    std::vector<contact::ContactSchedule> schedules,
-    const SchedulerFactory& make_scheduler, const DeploymentConfig& config);
 
 }  // namespace snipr::deploy

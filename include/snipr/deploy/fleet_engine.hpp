@@ -9,13 +9,15 @@
 /// \file fleet_engine.hpp
 /// Sharded multi-threaded deployment engine.
 ///
-/// `run_deployment` simulates every node of a fleet inside one
-/// single-threaded `Simulator`, which tops out at a few dozen nodes: the
+/// One `Simulator` over a whole fleet tops out at a few dozen nodes: the
 /// event heap holds the whole fleet (every pop pays log of the *fleet's*
 /// pending events) and only one core works. The FleetEngine partitions
 /// the fleet into shards, each owning its own `Simulator` over a
 /// contiguous block of nodes, and fans the shards out across a
-/// `core::ThreadPool`.
+/// `core::ThreadPool`. A spec run builds each shard's contact schedules
+/// just before that shard simulates, so only the running shards'
+/// schedules are resident. `shards = threads = 1` runs the whole fleet
+/// in one simulator.
 ///
 /// Determinism contract (the PR 1/PR 2 guarantee, extended to shards):
 /// node i's RNG stream is forked from a root seeded with `config.seed`
@@ -73,17 +75,6 @@ class FleetEngine {
   /// outcome, same bytes — and outcomes are shard-count-independent, so
   /// this is what the fleet golden corpus pins.
   [[nodiscard]] static std::string to_json(const DeploymentOutcome& outcome);
-
- private:
-  /// `run`, with each node's probed-contact log exported through
-  /// `probed` (resized to the fleet; slot i is node i's log) — the
-  /// session list the store-and-forward collection pass replays — and
-  /// node i wired to `faults->node(i)` when a fault plan is attached.
-  [[nodiscard]] DeploymentOutcome run_with_probes(
-      std::vector<contact::ContactSchedule> schedules,
-      const SchedulerFactory& make_scheduler, const FleetConfig& config,
-      std::vector<std::vector<node::ProbedContactRecord>>* probed,
-      fault::FaultPlan* faults) const;
 };
 
 /// Node/link configuration for a catalog-style fleet run: Ton and link

@@ -11,14 +11,13 @@
 /// \file fleet_streaming.hpp
 /// Bounded-memory streaming fleet runs.
 ///
-/// `FleetEngine::run` materialises every node's contact schedule up
-/// front and returns one NodeOutcome row per node — O(fleet) memory
-/// twice over, which a million-node run cannot afford. The streaming
-/// path processes the fleet shard by shard: each shard builds the
-/// schedules for *its own* node range just before simulating it (from
-/// the shared vehicle flow, which is materialised once), folds its
-/// nodes' results into scalar accumulators (Welford mean/variance via
-/// `stats::OnlineStats`, quantiles via `stats::QuantileSketch`) and
+/// `FleetEngine::run` returns one NodeOutcome row per node — O(fleet)
+/// memory, which a million-node run cannot afford. The streaming path
+/// runs the same shard worker over the same inputs (each shard builds
+/// the schedules for *its own* node range just before simulating it,
+/// from the shared vehicle flow, which is materialised once), but folds
+/// its nodes' results into scalar accumulators (Welford mean/variance
+/// via `stats::OnlineStats`, quantiles via `stats::QuantileSketch`) and
 /// frees everything before the next batch starts. Peak memory is the
 /// vehicle flow plus one batch of shards, independent of fleet size.
 ///
@@ -73,6 +72,8 @@ struct StreamingOptions {
   std::size_t batch_shards{0};
   /// Process at most this many shards in this call, then checkpoint and
   /// return nullopt (time-slicing a huge run). 0 = run to completion.
+  /// Needs `checkpoint_path`: without one a sliced call would discard its
+  /// work, so the combination is rejected.
   std::size_t max_shards{0};
 };
 
@@ -83,7 +84,9 @@ struct StreamingOptions {
 /// to avoid. So is an enabled fault plan (`spec.faults`): the per-node
 /// injectors live in FleetEngine::run, and a fleet streamed without them
 /// would silently report fault-free numbers. Both throw
-/// std::invalid_argument naming the reason.
+/// std::invalid_argument naming the reason, as does `max_shards` without
+/// a checkpoint path and, like FleetEngine::run, an empty fleet or bad
+/// road geometry.
 [[nodiscard]] std::optional<FleetSummary> run_streaming_fleet(
     const core::RoadsideScenario& scenario, const FleetSpec& spec,
     const FleetConfig& config, const StreamingOptions& options = {});

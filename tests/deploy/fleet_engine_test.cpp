@@ -1,5 +1,8 @@
 #include "snipr/deploy/fleet_engine.hpp"
 
+#include <limits>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "snipr/core/snip_rh.hpp"
@@ -37,31 +40,31 @@ FleetConfig quick_config(std::size_t shards) {
   return cfg;
 }
 
-TEST(FleetEngine, MatchesRunDeploymentExactly) {
-  // run_deployment is FleetEngine at one shard; both must agree with a
-  // multi-shard run bit for bit (the per-node streams are fixed before
-  // partitioning).
+TEST(FleetEngine, OneShardEqualsTheDefaultPartition) {
+  // One shard on one thread runs the whole fleet in a single simulator;
+  // the default partition (and an uneven one) must agree with it bit for
+  // bit (the per-node streams are fixed before partitioning).
   const std::vector<double> positions{100.0, 900.0, 4200.0, 7100.0};
-  DeploymentConfig legacy;
-  legacy.epochs = 2;
-  legacy.node.budget_limit = Duration::seconds(864.0);
-  legacy.node.sensing_rate_bps = 1e6;
+  FleetConfig one = quick_config(1);
+  one.threads = 1;
   const auto reference =
-      run_deployment(two_day_schedules(positions), rh_factory(), legacy);
-  const auto sharded = FleetEngine{}.run(two_day_schedules(positions),
-                                         rh_factory(), quick_config(3));
-  ASSERT_EQ(reference.nodes.size(), sharded.nodes.size());
-  for (std::size_t i = 0; i < reference.nodes.size(); ++i) {
-    EXPECT_EQ(reference.nodes[i].node_index, sharded.nodes[i].node_index);
-    EXPECT_DOUBLE_EQ(reference.nodes[i].mean_zeta_s,
-                     sharded.nodes[i].mean_zeta_s);
-    EXPECT_DOUBLE_EQ(reference.nodes[i].mean_phi_s,
-                     sharded.nodes[i].mean_phi_s);
-    EXPECT_DOUBLE_EQ(reference.nodes[i].miss_ratio,
-                     sharded.nodes[i].miss_ratio);
+      FleetEngine{}.run(two_day_schedules(positions), rh_factory(), one);
+  for (const std::size_t shards : {std::size_t{0}, std::size_t{3}}) {
+    const auto sharded = FleetEngine{}.run(two_day_schedules(positions),
+                                           rh_factory(), quick_config(shards));
+    ASSERT_EQ(reference.nodes.size(), sharded.nodes.size());
+    for (std::size_t i = 0; i < reference.nodes.size(); ++i) {
+      EXPECT_EQ(reference.nodes[i].node_index, sharded.nodes[i].node_index);
+      EXPECT_DOUBLE_EQ(reference.nodes[i].mean_zeta_s,
+                       sharded.nodes[i].mean_zeta_s);
+      EXPECT_DOUBLE_EQ(reference.nodes[i].mean_phi_s,
+                       sharded.nodes[i].mean_phi_s);
+      EXPECT_DOUBLE_EQ(reference.nodes[i].miss_ratio,
+                       sharded.nodes[i].miss_ratio);
+    }
+    EXPECT_DOUBLE_EQ(reference.zeta_fairness, sharded.zeta_fairness);
+    EXPECT_DOUBLE_EQ(reference.zeta_variance, sharded.zeta_variance);
   }
-  EXPECT_DOUBLE_EQ(reference.zeta_fairness, sharded.zeta_fairness);
-  EXPECT_DOUBLE_EQ(reference.zeta_variance, sharded.zeta_variance);
 }
 
 TEST(FleetEngine, AggregatesAreInternallyConsistent) {
@@ -171,6 +174,46 @@ TEST(FleetEngine, Validation) {
   bad.nodes = 0;
   EXPECT_THROW((void)FleetEngine{}.run(scenario, bad, quick_config(1)),
                std::invalid_argument);
+
+  // Road geometry the road builder cannot honour is named, not run:
+  // NaN used to pass the `<= 0` checks (a NaN spacing or first position
+  // ran as an empty fleet) and through_fraction > 1 or NaN ran as a pure
+  // through-flow.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto expect_rejected = [&](RoadWorkload road, const char* reason) {
+    const FleetSpec spec =
+        FleetSpec::road(4, road, core::Strategy::kSnipRh, 16.0);
+    FleetConfig config;
+    config.deployment = make_fleet_deployment_config(
+        scenario, spec, /*phi_max_s=*/864.0, /*epochs=*/1, /*seed=*/3);
+    try {
+      (void)FleetEngine{}.run(scenario, spec, config);
+      ADD_FAILURE() << reason << " accepted";
+    } catch (const std::invalid_argument& err) {
+      EXPECT_NE(std::string{err.what()}.find(reason), std::string::npos)
+          << err.what();
+    }
+  };
+  for (const double through : {-0.1, 1.5, nan}) {
+    RoadWorkload road;
+    road.through_fraction = through;
+    expect_rejected(road, "through_fraction");
+  }
+  for (const double spacing : {0.0, -300.0, nan}) {
+    RoadWorkload road;
+    road.spacing_m = spacing;
+    expect_rejected(road, "spacing_m");
+  }
+  for (const double range : {0.0, nan}) {
+    RoadWorkload road;
+    road.range_m = range;
+    expect_rejected(road, "range_m");
+  }
+  for (const double first : {-1.0, nan}) {
+    RoadWorkload road;
+    road.first_position_m = first;
+    expect_rejected(road, "first_position_m");
+  }
 }
 
 }  // namespace

@@ -2,9 +2,11 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -308,6 +310,52 @@ TEST(FleetStreaming, RejectsRoutingAndEmptyFleets) {
   EXPECT_THROW(
       (void)run_streaming_fleet(empty.scenario, empty.spec, empty.config),
       std::invalid_argument);
+
+  // Time slices without a checkpoint would each return nullopt and keep
+  // nothing: the run could never complete.
+  const FleetCase sliced = small_fleet(24, 6);
+  StreamingOptions no_checkpoint;
+  no_checkpoint.max_shards = 2;
+  try {
+    (void)run_streaming_fleet(sliced.scenario, sliced.spec, sliced.config,
+                              no_checkpoint);
+    ADD_FAILURE() << "max_shards without a checkpoint accepted";
+  } catch (const std::invalid_argument& err) {
+    EXPECT_NE(std::string{err.what()}.find("checkpoint"), std::string::npos)
+        << err.what();
+  }
+
+  // Road geometry goes through the same validation as FleetEngine::run.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto expect_rejected = [](FleetCase c, const char* reason) {
+    try {
+      (void)run_streaming_fleet(c.scenario, c.spec, c.config);
+      ADD_FAILURE() << reason << " accepted";
+    } catch (const std::invalid_argument& err) {
+      EXPECT_NE(std::string{err.what()}.find(reason), std::string::npos)
+          << err.what();
+    }
+  };
+  for (const double through : {-0.1, 1.5, nan}) {
+    FleetCase c = small_fleet();
+    std::get<RoadWorkload>(c.spec.workload).through_fraction = through;
+    expect_rejected(c, "through_fraction");
+  }
+  for (const double spacing : {0.0, nan}) {
+    FleetCase c = small_fleet();
+    std::get<RoadWorkload>(c.spec.workload).spacing_m = spacing;
+    expect_rejected(c, "spacing_m");
+  }
+  for (const double range : {-1.0, nan}) {
+    FleetCase c = small_fleet();
+    std::get<RoadWorkload>(c.spec.workload).range_m = range;
+    expect_rejected(c, "range_m");
+  }
+  for (const double first : {-5.0, nan}) {
+    FleetCase c = small_fleet();
+    std::get<RoadWorkload>(c.spec.workload).first_position_m = first;
+    expect_rejected(c, "first_position_m");
+  }
 }
 
 TEST(FleetStreaming, RejectsFaultPlansWithANamedReason) {

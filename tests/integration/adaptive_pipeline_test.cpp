@@ -3,7 +3,7 @@
 #include "snipr/core/adaptive_snip_rh.hpp"
 #include "snipr/core/experiment.hpp"
 #include "snipr/core/snip_rh.hpp"
-#include "snipr/deploy/deployment.hpp"
+#include "snipr/deploy/fleet_engine.hpp"
 #include "snipr/deploy/road_contacts.hpp"
 
 /// End-to-end pipelines that cross module boundaries: autonomous
@@ -84,12 +84,14 @@ TEST(HeterogeneousDeployment, MixedPoliciesPerNode) {
   auto schedules =
       deploy::build_road_schedules({100.0, 4000.0}, 10.0, vehicles);
 
-  deploy::DeploymentConfig cfg;
-  cfg.epochs = 8;
-  cfg.node.budget_limit = sim::Duration::seconds(864.0);
-  cfg.node.sensing_rate_bps = 1e6;
+  deploy::FleetConfig cfg;
+  cfg.deployment.epochs = 8;
+  cfg.deployment.node.budget_limit = sim::Duration::seconds(864.0);
+  cfg.deployment.node.sensing_rate_bps = 1e6;
+  cfg.shards = 1;
+  cfg.threads = 1;
 
-  const auto out = deploy::run_deployment(
+  const auto out = deploy::FleetEngine{}.run(
       std::move(schedules),
       [](std::size_t i) -> std::unique_ptr<node::Scheduler> {
         if (i == 0) {

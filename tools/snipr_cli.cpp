@@ -12,11 +12,8 @@
 ///                                   --batch for a sweep over it)
 ///   snipr_cli list   [scenarios|traces]  print the catalogs
 ///
-/// Each subcommand has its own --help. Invocations that start with a
-/// flag instead of a subcommand take the legacy spelling (`--batch`,
-/// `--fleet NAME`, `--trace NAME`, `--list-scenarios`, `--list-traces`)
-/// and behave identically — existing scripts keep working, with a
-/// deprecation note on stderr.
+/// Each subcommand has its own --help. An invocation without a
+/// subcommand prints the overview and exits 2.
 ///
 /// Environments come from the named scenario library
 /// (`core::ScenarioCatalog`). Without `--scenario` the defaults
@@ -52,7 +49,6 @@ enum class Mode { kRun, kBatch, kFleet, kTrace, kList };
 
 struct Options {
   Mode mode{Mode::kRun};
-  bool legacy{false};  // flag-spelling invocation (no subcommand word)
   std::string scenario;  // empty = paper default (catalog "roadside")
   bool list_scenarios{false};
   bool list_traces{false};
@@ -71,7 +67,7 @@ struct Options {
   double tcontact_s{2.0};
   bool csv{false};
   bool help{false};
-  // Batch mode.
+  // Batch mode (the batch subcommand, or trace NAME --batch).
   bool batch{false};
   std::string mechanisms{"at,opt,rh"};
   std::string targets{"16,24,32,40,48,56"};
@@ -81,11 +77,11 @@ struct Options {
   std::size_t seeds{1};
   std::size_t threads{0};  // 0 = hardware concurrency
   std::string json_path;   // empty = stdout
+  // The fleet / trace subcommand's catalog entry name.
+  std::string name;
   // Fleet mode.
-  std::string fleet;       // fleet catalog entry name
   std::size_t shards{0};   // 0 = one shard per hardware thread
   // Trace mode.
-  std::string trace;       // trace catalog entry name
   std::string trace_dir;   // data dir override for file-backed entries
   // Day-to-day replay jitter: non-zero by default so seeds (and seed
   // sweeps in --batch) actually vary; 0 replays the trace exactly.
@@ -179,41 +175,13 @@ void print_usage(const char* argv0, Mode mode) {
 void print_overview(const char* argv0) {
   std::printf(
       "usage: %s <subcommand> [options]\n"
-      "  run      one experiment (default when invoked with bare flags)\n"
+      "  run      one experiment\n"
       "  batch    mechanism x target x budget x seed sweep, aggregate JSON\n"
       "  fleet    a multi-node deployment through the sharded FleetEngine\n"
       "  trace    replay a trace-catalog workload\n"
       "  list     print the scenario / trace catalogs\n"
-      "run '%s <subcommand> --help' for that subcommand's options.\n"
-      "legacy flag spellings (--batch, --fleet NAME, --trace NAME,\n"
-      "--list-scenarios, --list-traces) are still accepted.\n",
+      "run '%s <subcommand> --help' for that subcommand's options.\n",
       argv0, argv0);
-}
-
-/// Parse a comma-separated list of strictly numeric values; false (and a
-/// diagnostic) on any token atof would silently fold to 0.
-bool parse_double_list(const char* flag, const std::string& list,
-                       std::vector<double>& out) {
-  out.clear();
-  std::size_t start = 0;
-  while (start <= list.size()) {
-    const std::size_t comma = list.find(',', start);
-    const std::size_t end = comma == std::string::npos ? list.size() : comma;
-    if (end > start) {
-      const std::string token = list.substr(start, end - start);
-      char* token_end = nullptr;
-      const double value = std::strtod(token.c_str(), &token_end);
-      if (token_end == token.c_str() || *token_end != '\0') {
-        std::fprintf(stderr, "%s: invalid number '%s'\n", flag,
-                     token.c_str());
-        return false;
-      }
-      out.push_back(value);
-    }
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return true;
 }
 
 std::vector<std::string> split_csv(const std::string& list) {
@@ -229,17 +197,21 @@ std::vector<std::string> split_csv(const std::string& list) {
   return items;
 }
 
-/// The flags that used to select a mode. Under a subcommand they are
-/// rejected with a pointer at the positional spelling, so the two ways
-/// of saying the same thing cannot be combined into a third.
-bool reject_mode_flag(const Options& opt, const std::string& arg,
-                      const char* replacement) {
-  if (!opt.legacy) {
-    std::fprintf(stderr, "'%s' is the legacy spelling; use '%s'\n",
-                 arg.c_str(), replacement);
-    return true;
+/// Parse a comma-separated list of strictly numeric values; false (and a
+/// diagnostic) on any token atof would silently fold to 0.
+bool parse_double_list(const char* flag, const std::string& list,
+                       std::vector<double>& out) {
+  out.clear();
+  for (const std::string& token : split_csv(list)) {
+    char* token_end = nullptr;
+    const double value = std::strtod(token.c_str(), &token_end);
+    if (token_end == token.c_str() || *token_end != '\0') {
+      std::fprintf(stderr, "%s: invalid number '%s'\n", flag, token.c_str());
+      return false;
+    }
+    out.push_back(value);
   }
-  return false;
+  return true;
 }
 
 bool parse(int argc, char** argv, int first, Options& opt) {
@@ -288,12 +260,9 @@ bool parse(int argc, char** argv, int first, Options& opt) {
     if (!arg.empty() && arg[0] != '-') {
       // Subcommand positionals: the fleet / trace entry name, or the
       // list filter. Anything else is a stray word.
-      if (opt.mode == Mode::kFleet && opt.fleet.empty()) {
-        opt.fleet = arg;
-        continue;
-      }
-      if (opt.mode == Mode::kTrace && opt.trace.empty()) {
-        opt.trace = arg;
+      if ((opt.mode == Mode::kFleet || opt.mode == Mode::kTrace) &&
+          opt.name.empty()) {
+        opt.name = arg;
         continue;
       }
       if (opt.mode == Mode::kList && !opt.list_scenarios &&
@@ -315,30 +284,10 @@ bool parse(int argc, char** argv, int first, Options& opt) {
     }
     if (arg == "--csv") {
       opt.csv = true;
-    } else if (arg == "--batch") {
-      // Legacy mode flag; also accepted under the trace subcommand (a
-      // sweep over the replay) and redundantly under batch itself.
-      if (opt.mode != Mode::kBatch && opt.mode != Mode::kTrace &&
-          reject_mode_flag(opt, arg, "snipr_cli batch")) {
-        return false;
-      }
-      opt.batch = true;
-    } else if (arg == "--list-scenarios") {
-      if (reject_mode_flag(opt, arg, "snipr_cli list scenarios")) {
-        return false;
-      }
-      opt.list_scenarios = true;
-    } else if (arg == "--list-traces") {
-      if (reject_mode_flag(opt, arg, "snipr_cli list traces")) return false;
-      opt.list_traces = true;
+    } else if (arg == "--batch" && opt.mode == Mode::kTrace) {
+      opt.batch = true;  // a sweep over the replay
     } else if (arg == "--scenario") {
       if (!take_string(opt.scenario)) return false;
-    } else if (arg == "--fleet") {
-      if (reject_mode_flag(opt, arg, "snipr_cli fleet NAME")) return false;
-      if (!take_string(opt.fleet)) return false;
-    } else if (arg == "--trace") {
-      if (reject_mode_flag(opt, arg, "snipr_cli trace NAME")) return false;
-      if (!take_string(opt.trace)) return false;
     } else if (arg == "--trace-dir") {
       if (!take_string(opt.trace_dir)) return false;
     } else if (arg == "--replay-jitter") {
@@ -438,9 +387,9 @@ void print_traces(std::FILE* out) {
 int build_trace_scenario(const Options& opt, core::RoadsideScenario& scenario,
                          std::string& label) {
   const trace::TraceEntry* entry =
-      trace::TraceCatalog::instance().find(opt.trace);
+      trace::TraceCatalog::instance().find(opt.name);
   if (entry == nullptr) {
-    std::fprintf(stderr, "unknown trace '%s'\n", opt.trace.c_str());
+    std::fprintf(stderr, "unknown trace '%s'\n", opt.name.c_str());
     print_traces(stderr);
     return 2;
   }
@@ -461,19 +410,12 @@ int build_trace_scenario(const Options& opt, core::RoadsideScenario& scenario,
 
 int run_fleet(const Options& opt) {
   const core::CatalogEntry* entry =
-      core::ScenarioCatalog::instance().find(opt.fleet);
+      core::ScenarioCatalog::instance().find(opt.name);
   if (entry == nullptr || !entry->is_fleet()) {
-    std::fprintf(stderr, "%s '%s'; fleet entries:\n",
-                 entry == nullptr ? "unknown scenario"
-                                  : "not a fleet scenario",
-                 opt.fleet.c_str());
-    for (const core::CatalogEntry& e :
-         core::ScenarioCatalog::instance().entries()) {
-      if (e.is_fleet()) {
-        std::fprintf(stderr, "  %-22s %s\n", e.name.c_str(),
-                     e.description.c_str());
-      }
-    }
+    std::fprintf(stderr, "%s '%s'\n",
+                 entry == nullptr ? "unknown scenario" : "not a fleet scenario",
+                 opt.name.c_str());
+    print_scenarios(stderr);
     return 2;
   }
 
@@ -597,97 +539,62 @@ int run_batch(const Options& opt, const core::RoadsideScenario& scenario,
 
 int main(int argc, char** argv) {
   Options opt;
-  int first = 1;
-  if (argc > 1 && argv[1][0] != '-') {
-    const std::string_view word{argv[1]};
-    if (word == "run") {
-      opt.mode = Mode::kRun;
-    } else if (word == "batch") {
-      opt.mode = Mode::kBatch;
-      opt.batch = true;
-    } else if (word == "fleet") {
-      opt.mode = Mode::kFleet;
-    } else if (word == "trace") {
-      opt.mode = Mode::kTrace;
-    } else if (word == "list") {
-      opt.mode = Mode::kList;
-    } else {
-      std::fprintf(stderr, "unknown subcommand '%s'\n", argv[1]);
-      print_overview(argv[0]);
-      return 2;
-    }
-    first = 2;
+  const std::string_view word{argc > 1 ? argv[1] : ""};
+  if (word == "run") {
+    opt.mode = Mode::kRun;
+  } else if (word == "batch") {
+    opt.mode = Mode::kBatch;
+    opt.batch = true;
+  } else if (word == "fleet") {
+    opt.mode = Mode::kFleet;
+  } else if (word == "trace") {
+    opt.mode = Mode::kTrace;
+  } else if (word == "list") {
+    opt.mode = Mode::kList;
   } else {
-    // Flag spelling: the pre-subcommand interface, kept working verbatim
-    // so scripts and CI pipelines migrate on their own schedule.
-    opt.legacy = true;
+    if (!word.empty() && word[0] != '-') {
+      std::fprintf(stderr, "unknown subcommand '%s'\n", argv[1]);
+    }
+    print_overview(argv[0]);
+    return word == "--help" || word == "-h" ? 0 : 2;
   }
-  if (!parse(argc, argv, first, opt)) {
-    if (!opt.legacy) print_usage(argv[0], opt.mode);
+  if (!parse(argc, argv, 2, opt)) {
+    print_usage(argv[0], opt.mode);
     return 2;
   }
   if (opt.help) {
-    if (opt.legacy) {
-      print_overview(argv[0]);
-    } else {
-      print_usage(argv[0], opt.mode);
-    }
+    print_usage(argv[0], opt.mode);
     return 0;
   }
-  if (opt.legacy) {
-    // Map the legacy mode flags onto the subcommands they became.
-    if (opt.list_scenarios || opt.list_traces) {
-      opt.mode = Mode::kList;
-    } else if (!opt.fleet.empty()) {
-      opt.mode = Mode::kFleet;
-    } else if (!opt.trace.empty()) {
-      opt.mode = Mode::kTrace;
-    } else if (opt.batch) {
-      opt.mode = Mode::kBatch;
-    }
-    if (opt.mode != Mode::kRun) {
-      std::fprintf(stderr,
-                   "note: flag-selected modes are deprecated; this is "
-                   "'snipr_cli %s'\n",
-                   opt.mode == Mode::kList    ? "list"
-                   : opt.mode == Mode::kFleet ? "fleet NAME"
-                   : opt.mode == Mode::kTrace ? "trace NAME"
-                                              : "batch");
-    }
-  }
   if (opt.mode == Mode::kList) {
-    // The subcommand's positional (or the legacy flag) narrows to one
-    // catalog; bare `list` prints both.
+    // The subcommand's positional narrows to one catalog; bare `list`
+    // prints both.
     const bool both = opt.list_scenarios == opt.list_traces;
     if (both || opt.list_scenarios) print_scenarios(stdout);
     if (both || opt.list_traces) print_traces(stdout);
     return 0;
   }
-  if (opt.mode == Mode::kFleet && opt.fleet.empty()) {
-    std::fprintf(stderr, "fleet: missing entry NAME\n");
-    print_usage(argv[0], Mode::kFleet);
-    return 2;
-  }
-  if (opt.mode == Mode::kTrace && opt.trace.empty()) {
-    std::fprintf(stderr, "trace: missing workload NAME\n");
-    print_usage(argv[0], Mode::kTrace);
-    return 2;
-  }
-  // A run's environment comes from exactly one source; rejecting the
-  // combinations (rather than silently preferring one) must happen
-  // before the fleet dispatch, or the trace would be dropped unnoticed.
-  if (!opt.trace.empty() && (!opt.scenario.empty() || !opt.fleet.empty())) {
-    std::fprintf(stderr, "a trace replay is mutually exclusive with "
-                         "--scenario and a fleet entry\n");
+  if ((opt.mode == Mode::kFleet || opt.mode == Mode::kTrace) &&
+      opt.name.empty()) {
+    std::fprintf(stderr, "%s: missing catalog entry NAME\n", argv[1]);
+    print_usage(argv[0], opt.mode);
     return 2;
   }
   if (opt.mode == Mode::kFleet) return run_fleet(opt);
+  // A run's environment comes from exactly one source; reject the
+  // combination rather than silently preferring one.
+  const bool traced = opt.mode == Mode::kTrace;
+  if (traced && !opt.scenario.empty()) {
+    std::fprintf(stderr,
+                 "a trace replay is mutually exclusive with --scenario\n");
+    return 2;
+  }
 
   core::RoadsideScenario scenario;
   std::string label{"roadside"};
   double default_budget_s = 86.4;
   const core::CatalogEntry* entry = nullptr;
-  if (!opt.trace.empty()) {
+  if (traced) {
     if (const int rc = build_trace_scenario(opt, scenario, label); rc != 0) {
       return rc;
     }
