@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -29,34 +28,27 @@ inline constexpr EventId kInvalidEventId = 0;
 /// ~56 bytes); anything larger fails the InlineCallback static_assert.
 inline constexpr std::size_t kEventCallbackCapacity = 64;
 
-/// Time-ordered queue of callbacks with O(1) schedule/pop/cancel for the
-/// near-future-dominated event mix, allocation-free in steady state.
-/// Ties at equal timestamps run in schedule order (FIFO), which keeps
-/// runs deterministic.
+/// Time-ordered queue of callbacks with O(log n) schedule/pop and O(1)
+/// cancellation, allocation-free in steady state. Ties at equal
+/// timestamps run in schedule order (FIFO), which keeps runs
+/// deterministic.
 ///
-/// Internally a hierarchical timing wheel (Varghese–Lauck), laid out as
-/// a "hierarchical clock": `kLevels` levels of `kBucketsPerLevel`
-/// buckets, one digit of the event's microsecond tick per level. An
-/// event is filed at the *highest* digit in which its tick differs from
-/// the wheel's current tick `cur_`, so level 0 holds exactly one tick
-/// per bucket (the current 256-tick span) and pops read bucket heads in
-/// tick order. When the search for the next event crosses a digit
-/// boundary, the bucket at the new digit *cascades*: its events re-file
-/// one level down, in list order, which is schedule order — that, plus
-/// the fact that a boundary always cascades before any new event can be
-/// filed directly into the span it opens, is why FIFO ties survive the
-/// wheel (DESIGN.md, "Hot path & memory layout"). Events beyond the
-/// 2^32-µs (~71.6 min) wheel horizon wait in a small overflow min-heap
-/// ordered by (timestamp, seq) and are pulled into the wheels one
-/// 2^32-µs span at a time, in that order.
+/// A flat binary min-heap: a duty-cycled node keeps at most two events
+/// pending (its next wakeup or transfer completion, and its epoch
+/// boundary), so the heap stays about twice a shard's node count deep
+/// and a sift touches a handful of cache lines (DESIGN.md, "Hot path &
+/// memory layout").
 ///
 /// Callbacks live in a flat slot array (`slots_`), inline via
-/// InlineCallback — never on the heap. A slot *is* its event: the bucket
-/// lists are intrusive (prev/next indices stored in the slot), so
-/// cancel() unlinks in O(1) without tombstones, and overflow entries
-/// carry their heap position for O(log overflow) removal. Occupancy
-/// bitmaps (256 bits per level) let the pop path jump straight to the
-/// next occupied bucket instead of ticking through empty ones.
+/// InlineCallback — never on the heap. A schedule takes a slot from the
+/// free list (or grows the array), stamps it with its current
+/// generation, and pushes a 24-byte (timestamp, sequence, slot,
+/// generation) entry onto the heap; sifts therefore move small POD
+/// entries, not closures. A heap entry is a tombstone iff its generation
+/// no longer matches its slot's. cancel() retires the slot and leaves
+/// the entry behind, dropped lazily at the head or swept in bulk
+/// whenever tombstones outnumber live entries (so a cancel-heavy
+/// workload keeps the heap within a constant factor of the live count).
 ///
 /// Generations wrap at 2^32, skipping generation 0 (reserved so a
 /// recycled slot can never mint an id equal to the `kInvalidEventId`
@@ -66,13 +58,7 @@ class EventQueue {
  public:
   using Callback = InlineCallback<kEventCallbackCapacity>;
 
-  EventQueue();
-
   /// Schedule `fn` at absolute time `at`. Returns a handle for cancel().
-  /// Scheduling before the latest popped timestamp (rejected upstream by
-  /// `Simulator::schedule_at`) files the event at the wheel's current
-  /// position: it pops as soon as possible, after pending events at the
-  /// current tick, and still reports its requested timestamp.
   EventId schedule(TimePoint at, Callback fn);
 
   /// Cancel a pending event. Returns false if the event already ran,
@@ -86,12 +72,12 @@ class EventQueue {
   [[nodiscard]] bool empty() const { return live_ == 0; }
   /// Number of live (non-cancelled) events.
   [[nodiscard]] std::size_t size() const noexcept { return live_; }
-  /// Entries held by the internal structures (wheel buckets + overflow
-  /// heap). cancel() unlinks its entry eagerly — the wheel keeps no
-  /// tombstones — so this always equals size(). Kept (and pinned by
-  /// tests) as the no-leak guarantee the binary-heap predecessor
-  /// documented: a cancel-heavy workload cannot grow storage unboundedly.
-  [[nodiscard]] std::size_t heap_size() const noexcept { return live_; }
+  /// Heap entries currently held, including cancelled tombstones awaiting
+  /// compaction. Tombstones only arise from cancel(), which re-checks the
+  /// compaction condition, so every cancel leaves the heap at most
+  /// max(2 * size(), compaction floor); pops in between only shrink it.
+  /// Exposed so tests can pin the no-leak guarantee.
+  [[nodiscard]] std::size_t heap_size() const noexcept { return heap_.size(); }
 
   /// Pop the earliest event and return it; nullopt when empty.
   struct Popped {
@@ -104,108 +90,64 @@ class EventQueue {
   /// Pop the earliest event only if its timestamp is <= `limit`;
   /// nullopt when the queue is empty or the head lies beyond the limit
   /// (which stays pending). Fuses the next_time()+pop() pair the drain
-  /// loop would otherwise issue into a single wheel advance.
+  /// loop would otherwise issue.
   [[nodiscard]] std::optional<Popped> pop_due(TimePoint limit);
 
  private:
   friend struct EventQueueTestPeer;
 
-  static constexpr unsigned kLevelBits = 8;
-  static constexpr unsigned kLevels = 4;
-  static constexpr std::uint32_t kBucketsPerLevel = 1u << kLevelBits;
-  static constexpr std::uint32_t kBucketCount = kLevels * kBucketsPerLevel;
-  static constexpr unsigned kWordsPerLevel = kBucketsPerLevel / 64;
-  /// List terminator / "no position" marker for slot links.
-  static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
-  /// `Slot::bucket` values outside [0, kBucketCount).
-  static constexpr std::uint32_t kNoBucket = 0xFFFFFFFFu;
-  static constexpr std::uint32_t kOverflowBucket = 0xFFFFFFFEu;
-
-  /// Callback storage cell, reused across events via the free list; with
-  /// the intrusive links below, the slot is also the queue entry. The
-  /// generation counts retirements: an id minted against an older
-  /// generation is stale.
+  /// Callback storage cell, reused across events via the free list. The
+  /// generation counts retirements: a heap entry scheduled against an
+  /// older generation is a tombstone.
   struct Slot {
     Callback fn;
-    TimePoint at{};
-    std::uint64_t seq{0};
     std::uint32_t generation{1};
-    std::uint32_t prev{kNil};
-    std::uint32_t next{kNil};
-    std::uint32_t bucket{kNoBucket};
-    /// Position in `overflow_` while bucket == kOverflowBucket.
-    std::uint32_t heap_index{kNil};
   };
+
+  /// 24-byte POD heap entry; `seq` is a global monotone schedule counter
+  /// providing the FIFO tie-break (slot indices recycle, so they cannot).
+  struct Entry {
+    TimePoint at;
+    std::uint64_t seq;
+    std::uint32_t slot;
+    std::uint32_t generation;
+  };
+
+  /// Min-heap order: earliest timestamp first, FIFO among equal stamps.
+  static bool before(const Entry& a, const Entry& b) noexcept {
+    if (a.at != b.at) return a.at < b.at;
+    return a.seq < b.seq;
+  }
 
   [[nodiscard]] static EventId pack(std::uint32_t generation,
                                     std::uint32_t slot) noexcept {
     return (static_cast<EventId>(generation) << 32) | slot;
   }
 
-  /// Order-preserving unsigned image of a timestamp (sign bit flipped),
-  /// so wheel digits are plain radix digits even for negative times.
-  [[nodiscard]] static std::uint64_t to_tick(TimePoint at) noexcept {
-    return static_cast<std::uint64_t>(at.count()) ^
-           (std::uint64_t{1} << 63);
+  [[nodiscard]] bool stale(const Entry& e) const noexcept {
+    return slots_[e.slot].generation != e.generation;
   }
 
-  /// File a live slot into the wheel level/bucket its tick selects
-  /// relative to `cur_` (or the overflow heap beyond the horizon).
-  void place(std::uint32_t slot, std::uint64_t tick);
-  /// Append to a bucket's intrusive list (FIFO: pops read the head).
-  void link(std::uint32_t bucket, std::uint32_t slot);
-  /// Remove a slot from its bucket's list, clearing the occupancy bit
-  /// when the bucket empties.
-  void unlink(std::uint32_t slot);
-  /// Remove a bucket's head slot (the pop path — no predecessor fixup).
-  void unlink_head(std::uint32_t bucket);
   /// Release a slot's callback, bump its generation (skipping 0) and
   /// recycle it.
   void retire(std::uint32_t slot);
 
-  /// Slot index of the earliest pending event (kNil when empty),
-  /// without moving the wheel: cur_ must only advance when an event is
-  /// actually consumed, otherwise a later schedule between the last pop
-  /// and the pending head would be misfiled as "past". Scans at most one
-  /// bucket list; the result is cached until a pop, a cancel of the head,
-  /// or an earlier schedule invalidates it.
-  [[nodiscard]] std::uint32_t peek_head() const;
+  void sift_up(std::size_t i) const;
+  void sift_down(std::size_t i) const;
+  /// Remove the root entry (sift the last entry down into its place).
+  void remove_root() const;
+  /// Drop tombstones sitting at the heap head.
+  void drop_stale_head() const;
+  /// Sweep every tombstone and re-heapify when they outnumber live
+  /// entries (and the heap is big enough for the sweep to matter).
+  void maybe_compact();
 
-  /// Re-file every event of a wheel bucket one level down (list order =
-  /// schedule order, preserving FIFO ties).
-  void cascade(std::uint32_t bucket);
-  /// Set `cur_` to the overflow minimum's 2^32-µs span and move that
-  /// whole span into the wheels in (timestamp, seq) order.
-  void pull_overflow();
-
-  /// First occupied bucket index >= `from` at `level`, or
-  /// kBucketsPerLevel when none.
-  [[nodiscard]] unsigned find_first_from(unsigned level,
-                                         unsigned from) const noexcept;
-
-  // Overflow min-heap of slot indices ordered by (at, seq); slots track
-  // their heap position for O(log n) removal on cancel.
-  [[nodiscard]] bool overflow_before(std::uint32_t a,
-                                     std::uint32_t b) const noexcept;
-  void overflow_push(std::uint32_t slot);
-  void overflow_remove(std::size_t index);
-  void overflow_sift_up(std::size_t index);
-  void overflow_sift_down(std::size_t index);
-
+  // The heap is mutable so the const observer next_time() can shed
+  // tombstoned heads it encounters. Slots are never touched from const
+  // paths.
+  mutable std::vector<Entry> heap_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;
-  std::vector<std::uint32_t> overflow_;
-  /// Intrusive list head/tail per bucket, all levels flattened.
-  std::array<std::uint32_t, kBucketCount> head_;
-  std::array<std::uint32_t, kBucketCount> tail_;
-  /// One occupancy bit per bucket (bits_[b >> 6] bit (b & 63)).
-  std::array<std::uint64_t, kBucketCount / 64> bits_{};
-  /// Current wheel tick (biased; starts at the minimum representable
-  /// time, so nothing is "past" until pops advance it).
-  std::uint64_t cur_{0};
-  /// Cached peek_head() result; kNil when unknown. Mutable so the const
-  /// observer next_time() can fill it.
-  mutable std::uint32_t peek_{kNil};
   std::uint64_t next_seq_{1};
   std::size_t live_{0};
 };

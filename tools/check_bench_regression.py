@@ -12,7 +12,9 @@ Understands both artifact shapes this repo produces:
 * regret artifacts with a "rows" array keyed by (scenario, policy)
   (BENCH_regret.json from bench_regret).
 
-Four counter kinds are compared, selected by name:
+Repetitions of one benchmark (or one sweep row) are reduced to their
+median before comparison. Four counter kinds are compared, selected by
+name:
 
 * ``*_per_sec`` — throughput; more than --tolerance BELOW the baseline
   is a regression. Improvements are reported but never fail.
@@ -36,6 +38,7 @@ shared runner.
 
 import argparse
 import json
+import statistics
 import sys
 
 # Fields that identify a sweep row across runs (order-independent).
@@ -82,8 +85,10 @@ def load_counters(path):
     """Map benchmark/row name -> {counter: value} for every counter kind.
 
     Repetition runs (--benchmark_repetitions=N emits N "iteration"
-    entries under the same name) are averaged, so the gate sees the mean
-    of all repetitions rather than silently keeping only the last one.
+    entries under the same name) are reduced to their median, so the gate
+    sees every repetition rather than silently keeping only the last one,
+    and one outlier repetition (a descheduled run on a shared machine)
+    cannot move it the way it moves a mean.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -91,16 +96,14 @@ def load_counters(path):
     except (OSError, ValueError) as err:
         print(f"error: cannot read {path}: {err}", file=sys.stderr)
         sys.exit(2)
-    sums = {}
-    counts = {}
+    samples = {}
 
     def accumulate(name, counters):
         if not counters:
             return
-        acc = sums.setdefault(name, {})
+        acc = samples.setdefault(name, {})
         for key, value in counters.items():
-            acc[key] = acc.get(key, 0.0) + value
-        counts[name] = counts.get(name, 0) + 1
+            acc.setdefault(key, []).append(value)
 
     for bench in doc.get("benchmarks", []):
         if bench.get("run_type") == "aggregate":
@@ -113,8 +116,8 @@ def load_counters(path):
         accumulate(row_name("mega", mega), row_counters(mega))
 
     return {
-        name: {key: value / counts[name] for key, value in acc.items()}
-        for name, acc in sums.items()
+        name: {key: statistics.median(values) for key, values in acc.items()}
+        for name, acc in samples.items()
     }
 
 

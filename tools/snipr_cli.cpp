@@ -47,6 +47,8 @@ using namespace snipr;
 
 enum class Mode { kRun, kBatch, kFleet, kTrace, kList };
 
+struct Flag;
+
 struct Options {
   Mode mode{Mode::kRun};
   std::string scenario;  // empty = paper default (catalog "roadside")
@@ -86,82 +88,118 @@ struct Options {
   // Day-to-day replay jitter: non-zero by default so seeds (and seed
   // sweeps in --batch) actually vary; 0 replays the trace exactly.
   double replay_jitter_s{5.0};
+  // Every option given, checked against the subcommand once parsed.
+  std::vector<const Flag*> given;
 };
 
-void print_common_flags() {
-  std::printf(
-      "common options:\n"
-      "  --epochs N                     epochs to simulate (default 14)\n"
-      "  --warmup N                     epochs excluded from averages\n"
-      "  --seed N                       single-run RNG seed (default 1)\n"
-      "  --deterministic                no interval jitter (analysis env)\n"
-      "  --ton S                        SNIP wakeup on-time (default 0.02)\n"
-      "  --tcontact S                   mean contact length (default 2)\n");
+/// Where an option applies. `trace NAME --batch` is its own context:
+/// it takes the batch grid options, not the single-run ones.
+enum Context : unsigned {
+  kInRun = 1u << 0,
+  kInBatch = 1u << 1,
+  kInFleet = 1u << 2,
+  kInReplay = 1u << 3,       // trace NAME
+  kInReplayBatch = 1u << 4,  // trace NAME --batch
+};
+constexpr unsigned kSingle = kInRun | kInReplay;
+constexpr unsigned kSweep = kInBatch | kInReplayBatch;
+constexpr unsigned kTraced = kInReplay | kInReplayBatch;
+constexpr unsigned kEnvironment = kSingle | kSweep;
+
+/// Every option the CLI knows, with the contexts that use it. Parsing
+/// rejects an option outside its contexts, and each subcommand's --help
+/// lists exactly the options its contexts accept.
+struct Flag {
+  std::string_view name;
+  const char* arg;   // value placeholder, "" for a switch
+  const char* help;
+  unsigned contexts;
+};
+
+constexpr Flag kFlags[] = {
+    {"--scenario", "NAME", "named environment from the catalog",
+     kInRun | kInBatch},
+    {"--mechanism", "at|opt|rh|adaptive", "scheduling policy (default rh)",
+     kSingle},
+    {"--target", "S", "zeta target per epoch, seconds", kEnvironment},
+    {"--budget", "S", "probing budget per epoch, seconds", kEnvironment},
+    {"--csv", "", "machine-readable output", kSingle},
+    {"--mechanisms", "a,b,...", "grid mechanisms (default at,opt,rh)",
+     kSweep},
+    {"--targets", "s1,s2,...", "grid zeta targets, seconds", kSweep},
+    {"--budgets", "s1,s2,...", "grid budgets, seconds", kSweep},
+    {"--seeds", "N", "seeds 1..N per grid point", kSweep},
+    {"--shards", "N", "simulator shards (never changes the results)",
+     kInFleet},
+    {"--threads", "N", "worker threads (default: all cores)",
+     kSweep | kInFleet},
+    {"--json", "FILE", "write JSON to FILE (sweep default: stdout)",
+     kSweep | kInFleet},
+    {"--epochs", "N", "epochs to simulate (default 14)",
+     kEnvironment | kInFleet},
+    {"--warmup", "N", "epochs excluded from averages", kEnvironment},
+    {"--seed", "N", "RNG seed (default 1)", kSingle | kInFleet},
+    {"--deterministic", "", "no interval jitter (analysis env)",
+     kEnvironment},
+    {"--ton", "S", "SNIP wakeup on-time (default 0.02)", kEnvironment},
+    {"--tcontact", "S", "mean contact length (default 2)", kEnvironment},
+    {"--trace-dir", "DIR", "data dir for checked-in corpora", kTraced},
+    {"--replay-jitter", "S", "day-to-day jitter stddev (default 5, 0 = exact)",
+     kTraced},
+    {"--batch", "", "sweep over the replay", kTraced},
+};
+
+const Flag* find_flag(std::string_view name) {
+  for (const Flag& flag : kFlags) {
+    if (flag.name == name) return &flag;
+  }
+  return nullptr;
+}
+
+/// Print the options used in every context of `all` and in none of
+/// `none`, one per line, in table order.
+void print_flags(unsigned all, unsigned none = 0) {
+  for (const Flag& flag : kFlags) {
+    if ((flag.contexts & all) != all || (flag.contexts & none) != 0) {
+      continue;
+    }
+    std::string head{flag.name};
+    if (*flag.arg != '\0') head.append(" ").append(flag.arg);
+    std::printf("  %-30s %s\n", head.c_str(), flag.help);
+  }
 }
 
 void print_usage(const char* argv0, Mode mode) {
   switch (mode) {
     case Mode::kRun:
-      std::printf(
-          "usage: %s run [options]\n"
-          "  --scenario NAME                named environment from the "
-          "catalog\n"
-          "  --mechanism at|opt|rh|adaptive scheduling policy (default rh)\n"
-          "  --target S                     zeta target per epoch, seconds\n"
-          "  --budget S                     probing budget per epoch, "
-          "seconds\n"
-          "  --csv                          machine-readable output\n",
-          argv0);
-      print_common_flags();
+      std::printf("usage: %s run [options]\n", argv0);
+      print_flags(kInRun);
       return;
     case Mode::kBatch:
-      std::printf(
-          "usage: %s batch [options]\n"
-          "  --scenario NAME                named environment from the "
-          "catalog\n"
-          "  --mechanisms a,b,...           grid mechanisms (default "
-          "at,opt,rh)\n"
-          "  --targets s1,s2,...            grid zeta targets, seconds\n"
-          "  --budgets s1,s2,...            grid budgets, seconds\n"
-          "  --seeds N                      seeds 1..N per grid point\n"
-          "  --threads N                    worker threads (default: all "
-          "cores)\n"
-          "  --json FILE                    write JSON to FILE (default "
-          "stdout)\n",
-          argv0);
-      print_common_flags();
+      std::printf("usage: %s batch [options]\n", argv0);
+      print_flags(kInBatch);
       return;
     case Mode::kFleet:
       std::printf(
           "usage: %s fleet NAME [options]\n"
           "run a fleet catalog entry (see '%s list scenarios') through the\n"
           "sharded FleetEngine; entries with a RoutingSpec also run the\n"
-          "multi-hop collection pass and emit the v2 network outcome.\n"
-          "  --shards N                     simulator shards (default: one\n"
-          "                                 per hardware thread; never\n"
-          "                                 changes the results, only the\n"
-          "                                 wall clock)\n"
-          "  --threads N                    worker threads\n"
-          "  --epochs N                     epochs to simulate\n"
-          "  --seed N                       RNG seed (default 1)\n"
-          "  --json FILE                    write fleet JSON to FILE\n",
+          "multi-hop collection pass and emit the v2 network outcome.\n",
           argv0, argv0);
+      print_flags(kInFleet);
       return;
     case Mode::kTrace:
       std::printf(
           "usage: %s trace NAME [options]\n"
           "replay a trace catalog workload (see '%s list traces'): the\n"
           "trace drives the channel while the planners see the profile\n"
-          "estimated from it. Add --batch for a sweep over the replay.\n"
-          "  --trace-dir DIR                data dir for checked-in corpora\n"
-          "  --replay-jitter S              per-contact day-to-day jitter\n"
-          "                                 stddev (default 5; 0 = exact\n"
-          "                                 replay, all seeds identical)\n"
-          "  --batch                        sweep over the replay (then the\n"
-          "                                 batch options apply)\n"
-          "  --mechanism|--target|--budget  as in 'run'\n",
+          "estimated from it. Add --batch for a sweep over the replay.\n",
           argv0, argv0);
-      print_common_flags();
+      print_flags(kTraced);
+      std::printf("without --batch:\n");
+      print_flags(kInReplay, kInReplayBatch);
+      std::printf("with --batch:\n");
+      print_flags(kInReplayBatch, kInReplay);
       return;
     case Mode::kList:
       std::printf(
@@ -282,9 +320,15 @@ bool parse(int argc, char** argv, int first, Options& opt) {
       std::fprintf(stderr, "unexpected argument '%s'\n", arg.c_str());
       return false;
     }
+    const Flag* flag = find_flag(arg);
+    if (flag == nullptr) {
+      std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
+      return false;
+    }
+    opt.given.push_back(flag);
     if (arg == "--csv") {
       opt.csv = true;
-    } else if (arg == "--batch" && opt.mode == Mode::kTrace) {
+    } else if (arg == "--batch") {
       opt.batch = true;  // a sweep over the replay
     } else if (arg == "--scenario") {
       if (!take_string(opt.scenario)) return false;
@@ -347,8 +391,41 @@ bool parse(int argc, char** argv, int first, Options& opt) {
         std::fprintf(stderr, "--seed: invalid count '%s'\n", v);
         return false;
       }
-    } else {
-      std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
+    }
+  }
+  return true;
+}
+
+/// Reject the first given option the subcommand would parse and then
+/// ignore, naming both.
+bool check_flags_apply(const Options& opt) {
+  unsigned context = 0;
+  const char* subcommand = "list";
+  switch (opt.mode) {
+    case Mode::kRun:
+      context = kInRun;
+      subcommand = "run";
+      break;
+    case Mode::kBatch:
+      context = kInBatch;
+      subcommand = "batch";
+      break;
+    case Mode::kFleet:
+      context = kInFleet;
+      subcommand = "fleet";
+      break;
+    case Mode::kTrace:
+      context = opt.batch ? kInReplayBatch : kInReplay;
+      subcommand = opt.batch ? "trace --batch" : "trace";
+      break;
+    case Mode::kList:
+      break;
+  }
+  for (const Flag* flag : opt.given) {
+    if ((flag->contexts & context) == 0) {
+      std::fprintf(stderr, "%.*s does not apply to '%s' (see its --help)\n",
+                   static_cast<int>(flag->name.size()), flag->name.data(),
+                   subcommand);
       return false;
     }
   }
@@ -566,6 +643,7 @@ int main(int argc, char** argv) {
     print_usage(argv[0], opt.mode);
     return 0;
   }
+  if (!check_flags_apply(opt)) return 2;
   if (opt.mode == Mode::kList) {
     // The subcommand's positional narrows to one catalog; bare `list`
     // prints both.
@@ -581,14 +659,9 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (opt.mode == Mode::kFleet) return run_fleet(opt);
-  // A run's environment comes from exactly one source; reject the
-  // combination rather than silently preferring one.
+  // A run's environment comes from exactly one source: trace replays
+  // reject --scenario as an option they do not take.
   const bool traced = opt.mode == Mode::kTrace;
-  if (traced && !opt.scenario.empty()) {
-    std::fprintf(stderr,
-                 "a trace replay is mutually exclusive with --scenario\n");
-    return 2;
-  }
 
   core::RoadsideScenario scenario;
   std::string label{"roadside"};

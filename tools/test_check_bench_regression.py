@@ -67,13 +67,29 @@ class CheckBenchRegressionTest(unittest.TestCase):
         cur = {"benchmarks": [gb("BM_Loop", events_per_sec=5000.0)]}
         self.assertEqual(run_gate(self.tmp, base, cur), 0)
 
-    def test_repetitions_are_averaged_not_last_wins(self):
-        # Mean of (700, 1100) = 900 is within 15% of 1000; the last
+    def test_repetitions_use_the_median_not_last_wins(self):
+        # Median of (700, 1100) = 900 is within 15% of 1000; the last
         # repetition alone (1100) and the first alone (700) are not both.
         base = {"benchmarks": [gb("BM_Loop", events_per_sec=1000.0)]}
         cur = {"benchmarks": [gb("BM_Loop", events_per_sec=700.0),
                               gb("BM_Loop", events_per_sec=1100.0)]}
         self.assertEqual(run_gate(self.tmp, base, cur), 0)
+
+    def test_one_outlier_repetition_does_not_trip_the_gate(self):
+        # One descheduled repetition reads 100; the mean of the five
+        # (820) is 18% below the baseline, the median (1000) is on it.
+        base = {"benchmarks": [gb("BM_Loop", events_per_sec=1000.0)]}
+        cur = {"benchmarks": [
+            gb("BM_Loop", events_per_sec=rate)
+            for rate in (1000.0, 990.0, 100.0, 1010.0, 1000.0)]}
+        self.assertEqual(run_gate(self.tmp, base, cur), 0)
+
+    def test_median_still_catches_a_real_drop(self):
+        base = {"benchmarks": [gb("BM_Loop", events_per_sec=1000.0)]}
+        cur = {"benchmarks": [
+            gb("BM_Loop", events_per_sec=rate)
+            for rate in (700.0, 690.0, 2000.0, 710.0, 700.0)]}
+        self.assertEqual(run_gate(self.tmp, base, cur), 1)
 
     def test_aggregate_entries_are_ignored(self):
         base = {"benchmarks": [gb("BM_Loop", events_per_sec=1000.0)]}
